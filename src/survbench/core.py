@@ -254,6 +254,13 @@ class RandomStream:
         return self._generator
 
 
+def as_generator(rng: RandomStream | np.random.Generator) -> np.random.Generator:
+    """The generator behind a stream, or the generator itself."""
+    if isinstance(rng, RandomStream):
+        return rng.generator
+    return rng
+
+
 def load_dataset(path: str) -> StudyDataset:
     """Read a two-arm study from an arm,time,status CSV."""
     with open(path, newline="") as fh:

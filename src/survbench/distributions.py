@@ -7,6 +7,7 @@ below, so fitted parameter vectors are portable between runs and reports.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,28 +25,13 @@ from scipy.special import (
     polygamma,
 )
 
-from .core import RandomStream
+from .core import RandomStream, as_generator
 
 MIXTURE_WEIBULL_WEIGHT = 0.2
 MIXTURE_NORMAL_WEIGHT = 0.8
 
 MAX_FIT_ITERATIONS = 500
 FIT_TOLERANCE = 1e-8
-
-# order doubles as the tie-break rule when CvM p-values are equal
-CANONICAL_FAMILIES = (
-    "exponential",
-    "weibull",
-    "gamma",
-    "log-normal",
-    "inverse-gamma",
-    "log-logistic",
-    "gompertz",
-    "normal",
-    "cauchy",
-    "gumbel",
-    "weibull-normal-mixture",
-)
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -67,32 +53,6 @@ class SelectionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class _FamilyMeta:
-    param_names: tuple[str, ...]
-    positive: tuple[bool, ...]  # which parameters must be > 0
-    positive_support: bool
-
-
-_FAMILY_META: dict[str, _FamilyMeta] = {
-    "exponential": _FamilyMeta(("rate",), (True,), True),
-    "weibull": _FamilyMeta(("shape", "scale"), (True, True), True),
-    "gamma": _FamilyMeta(("shape", "rate"), (True, True), True),
-    "log-normal": _FamilyMeta(("meanlog", "sdlog"), (False, True), True),
-    "inverse-gamma": _FamilyMeta(("shape", "rate"), (True, True), True),
-    "log-logistic": _FamilyMeta(("shape", "scale"), (True, True), True),
-    "gompertz": _FamilyMeta(("shape", "rate"), (True, True), True),
-    "normal": _FamilyMeta(("mean", "sd"), (False, True), False),
-    "cauchy": _FamilyMeta(("location", "scale"), (False, True), False),
-    "gumbel": _FamilyMeta(("location", "scale"), (False, True), False),
-    "weibull-normal-mixture": _FamilyMeta(
-        ("weibull_shape", "weibull_scale", "normal_mean", "normal_sd"),
-        (True, True, False, True),
-        False,
-    ),
-}
-
-
-@dataclass(frozen=True)
 class ParametricFamily:
     """A family identifier plus a concrete parameter vector."""
 
@@ -100,16 +60,16 @@ class ParametricFamily:
     parameters: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        meta = _FAMILY_META.get(self.family_id)
-        if meta is None:
+        spec = _FAMILIES.get(self.family_id)
+        if spec is None:
             raise DomainError(f"unknown family {self.family_id!r}")
         object.__setattr__(self, "parameters", tuple(float(p) for p in self.parameters))
-        if len(self.parameters) != len(meta.param_names):
+        if len(self.parameters) != len(spec.param_names):
             raise DomainError(
-                f"{self.family_id} takes {len(meta.param_names)} parameters "
-                f"({', '.join(meta.param_names)}), got {len(self.parameters)}"
+                f"{self.family_id} takes {len(spec.param_names)} parameters "
+                f"({', '.join(spec.param_names)}), got {len(self.parameters)}"
             )
-        for name, value, must_be_positive in zip(meta.param_names, self.parameters, meta.positive):
+        for name, value, must_be_positive in zip(spec.param_names, self.parameters, spec.positive):
             if not math.isfinite(value):
                 raise DomainError(f"{self.family_id} parameter {name} must be finite, got {value}")
             if must_be_positive and value <= 0.0:
@@ -117,7 +77,7 @@ class ParametricFamily:
 
     @property
     def positive_support(self) -> bool:
-        return _FAMILY_META[self.family_id].positive_support
+        return _FAMILIES[self.family_id].positive_support
 
 
 @dataclass
@@ -151,14 +111,8 @@ class FittedDistribution:
         )
 
 
-def _generator(rng: RandomStream | np.random.Generator) -> np.random.Generator:
-    if isinstance(rng, RandomStream):
-        return rng.generator
-    return rng
-
-
 # ---------------------------------------------------------------------------
-# density / distribution / quantile functions, one triple per family
+# per-family building blocks; the registry below wires them together
 
 
 def _norm_logpdf(x, mean, sd):
@@ -169,6 +123,20 @@ def _norm_logpdf(x, mean, sd):
 def _weibull_logpdf(x, shape, scale):
     z = x / scale
     return math.log(shape / scale) + (shape - 1.0) * np.log(z) - z**shape
+
+
+def _weibull_quantile(q, shape, scale):
+    return scale * (-np.log1p(-q)) ** (1.0 / shape)
+
+
+def _log_logistic_logpdf(x, shape, scale):
+    z = np.log(x / scale) * shape
+    return math.log(shape / scale) + (shape - 1.0) * np.log(x / scale) - 2.0 * np.logaddexp(0.0, z)
+
+
+def _cauchy_logpdf(x, location, scale):
+    z = (x - location) / scale
+    return -np.log(math.pi * scale * (1.0 + z * z))
 
 
 def _mixture_logpdf(x, wshape, wscale, nmean, nsd):
@@ -212,94 +180,263 @@ def _mixture_quantile_scalar(p: float, params: tuple[float, ...]) -> float:
     return float(optimize.brentq(lambda t: _mixture_cdf(t, *params) - p, lo, hi, xtol=1e-12))
 
 
+def _mixture_draw(gen: np.random.Generator, n: int, wshape, wscale, nmean, nsd) -> np.ndarray:
+    pick_weibull = gen.random(n) < MIXTURE_WEIBULL_WEIGHT
+    out = np.empty(n, dtype=float)
+    n_weib = int(np.count_nonzero(pick_weibull))
+    out[pick_weibull] = _weibull_quantile(gen.random(n_weib), wshape, wscale)
+    out[~pick_weibull] = nmean + nsd * gen.standard_normal(n - n_weib)
+    return out
+
+
+def _weibull_moment_start(x: np.ndarray) -> tuple[float, float]:
+    mean = float(np.mean(x))
+    sd = float(np.std(x))
+    if sd == 0.0 or mean <= 0.0:
+        return 1.0, max(mean, 1e-6)
+    shape = float(np.clip((sd / mean) ** -1.086, 0.05, 50.0))
+    scale = mean / math.gamma(1.0 + 1.0 / shape)
+    return shape, max(scale, 1e-12)
+
+
+def _gamma_start(x: np.ndarray) -> tuple[float, float]:
+    mean, var = float(np.mean(x)), float(np.var(x))
+    shape = float(np.clip(mean * mean / var, 1e-3, 1e6))
+    return shape, shape / mean
+
+
+def _inverse_gamma_start(x: np.ndarray) -> tuple[float, float]:
+    mean, var = float(np.mean(x)), float(np.var(x))
+    shape = mean * mean / var + 2.0
+    return shape, mean * (shape - 1.0)
+
+
+def _log_logistic_start(x: np.ndarray) -> tuple[float, float]:
+    lx = np.log(x)
+    spread = max(float(np.std(lx)), 1e-9)
+    return math.pi / (math.sqrt(3.0) * spread), math.exp(float(np.mean(lx)))
+
+
+def _gompertz_start(x: np.ndarray) -> tuple[float, float]:
+    m = float(np.quantile(x, 0.5))
+    q = float(np.quantile(x, 0.9))
+    ratio = math.log(10.0) / math.log(2.0)
+    if m <= 0.0 or q <= m or q / m >= ratio:
+        a = 1e-4 / max(float(np.mean(x)), 1e-12)
+    else:
+
+        def gap(a_try: float) -> float:
+            return math.expm1(a_try * q) / math.expm1(a_try * m) - ratio
+
+        lo, hi = 1e-8 / m, 50.0 / m
+        a = float(optimize.brentq(gap, lo, hi)) if gap(lo) < 0.0 < gap(hi) else 1e-4 / m
+    b = a * math.log(2.0) / math.expm1(a * m) if a * m < 700 else 1.0 / m
+    return max(a, 1e-12), max(b, 1e-12)
+
+
+def _normal_start(x: np.ndarray) -> tuple[float, float]:
+    mean, var = float(np.mean(x)), float(np.var(x))
+    return mean, max(math.sqrt(var), 1e-9)
+
+
+def _cauchy_start(x: np.ndarray) -> tuple[float, float]:
+    mean = float(np.mean(x))
+    q1, q3 = np.quantile(x, [0.25, 0.75])
+    spread = max(float(q3 - q1) / 2.0, 1e-9 * max(abs(mean), 1.0), 1e-12)
+    return float(np.median(x)), spread
+
+
+def _gumbel_start(x: np.ndarray) -> tuple[float, float]:
+    mean, var = float(np.mean(x)), float(np.var(x))
+    scale = max(math.sqrt(6.0 * var) / math.pi, 1e-9)
+    return mean - _EULER_GAMMA * scale, scale
+
+
+def _mixture_start(x: np.ndarray) -> tuple[float, float, float, float]:
+    med = float(np.median(x))
+    lower = x[x <= med]
+    upper = x[x > med]
+    if lower.size >= 2 and np.min(lower) > 0.0:
+        wshape, wscale = _weibull_moment_start(lower)
+    else:
+        wshape, wscale = 1.0, max(abs(med), 1.0)
+    if upper.size >= 2:
+        nmean, nsd = float(np.mean(upper)), max(float(np.std(upper)), 1e-9)
+    else:
+        nmean, nsd = _normal_start(x)
+    return wshape, wscale, nmean, nsd
+
+
+def _fit_inverse_gamma(x: np.ndarray) -> tuple[tuple[float, float], bool]:
+    """Newton-Raphson on the profiled shape score, damped for stability."""
+    m1 = float(np.mean(1.0 / x))
+    mlog = float(np.mean(np.log(x)))
+    rhs = math.log(m1) + mlog
+    if rhs <= 0.0:
+        raise FitFailureError("inverse-gamma score has no root for this sample")
+
+    def score(a: float) -> float:
+        return math.log(a) - float(digamma(a)) - rhs
+
+    alpha = max(float(np.mean(x)) ** 2 / max(float(np.var(x)), 1e-300) + 2.0, 1e-2)
+    g = score(alpha)
+    converged = False
+    for _ in range(MAX_FIT_ITERATIONS):
+        slope = 1.0 / alpha - float(polygamma(1, alpha))
+        step = g / slope
+        new_alpha = alpha - step
+        for _ in range(60):
+            if new_alpha > 0.0 and abs(score(new_alpha)) <= abs(g):
+                break
+            step *= 0.5
+            new_alpha = alpha - step
+        moved = abs(new_alpha - alpha)
+        alpha = new_alpha
+        g = score(alpha)
+        if abs(g) < 1e-13 or moved <= FIT_TOLERANCE * (1.0 + alpha):
+            converged = True
+            break
+    return (alpha, alpha / m1), converged
+
+
+# ---------------------------------------------------------------------------
+# the family registry: everything family-specific is looked up here
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One family: parameters, density triple, start values, optional sampler and fitter.
+
+    `logpdf`, `cdf` and `quantile` take the points, then the parameters unpacked.
+    `draw(gen, n, *params)` replaces inverse-transform sampling and
+    `fit(x, start) -> (params, converged)` replaces Nelder-Mead.
+    """
+
+    param_names: tuple[str, ...]
+    positive: tuple[bool, ...]  # which parameters must be > 0
+    positive_support: bool
+    logpdf: Callable[..., np.ndarray]
+    cdf: Callable[..., np.ndarray]
+    quantile: Callable[..., np.ndarray]
+    start: Callable[[np.ndarray], tuple[float, ...]]
+    draw: Callable[..., np.ndarray] | None = None
+    fit: Callable[[np.ndarray, tuple[float, ...]], tuple[tuple[float, ...], bool]] | None = None
+
+
+_FAMILIES: dict[str, _Family] = {
+    "exponential": _Family(
+        ("rate",), (True,), True,
+        logpdf=lambda x, rate: math.log(rate) - rate * x,
+        cdf=lambda x, rate: -np.expm1(-rate * x),
+        quantile=lambda q, rate: -np.log1p(-q) / rate,
+        start=lambda x: (1.0 / float(np.mean(x)),),
+        # 1/mean is the closed-form MLE, so there is nothing left to optimise
+        fit=lambda x, start: (start, True),
+    ),
+    "weibull": _Family(
+        ("shape", "scale"), (True, True), True,
+        logpdf=_weibull_logpdf,
+        cdf=lambda x, shape, scale: -np.expm1(-((x / scale) ** shape)),
+        quantile=_weibull_quantile,
+        start=_weibull_moment_start,
+    ),
+    "gamma": _Family(
+        ("shape", "rate"), (True, True), True,
+        logpdf=lambda x, a, b: a * math.log(b) + (a - 1.0) * np.log(x) - b * x - gammaln(a),
+        cdf=lambda x, a, b: gammainc(a, b * x),
+        quantile=lambda q, a, b: gammaincinv(a, q) / b,
+        start=_gamma_start,
+        draw=lambda gen, n, a, b: gen.gamma(a, 1.0, size=n) / b,
+    ),
+    "log-normal": _Family(
+        ("meanlog", "sdlog"), (False, True), True,
+        logpdf=lambda x, m, s: _norm_logpdf(np.log(x), m, s) - np.log(x),
+        cdf=lambda x, m, s: ndtr((np.log(x) - m) / s),
+        quantile=lambda q, m, s: np.exp(m + s * ndtri(q)),
+        start=lambda x: (float(np.mean(np.log(x))), max(float(np.std(np.log(x))), 1e-9)),
+        draw=lambda gen, n, m, s: np.exp(m + s * gen.standard_normal(n)),
+    ),
+    "inverse-gamma": _Family(
+        ("shape", "rate"), (True, True), True,
+        logpdf=lambda x, a, b: a * math.log(b) - gammaln(a) - (a + 1.0) * np.log(x) - b / x,
+        cdf=lambda x, a, b: gammaincc(a, b / x),
+        quantile=lambda q, a, b: b / gammainccinv(a, q),
+        start=_inverse_gamma_start,
+        draw=lambda gen, n, a, b: b / gen.gamma(a, 1.0, size=n),
+        fit=lambda x, start: _fit_inverse_gamma(x),
+    ),
+    "log-logistic": _Family(
+        ("shape", "scale"), (True, True), True,
+        logpdf=_log_logistic_logpdf,
+        cdf=lambda x, shape, scale: (x / scale) ** shape / (1.0 + (x / scale) ** shape),
+        quantile=lambda q, shape, scale: scale * (q / (1.0 - q)) ** (1.0 / shape),
+        start=_log_logistic_start,
+    ),
+    "gompertz": _Family(
+        ("shape", "rate"), (True, True), True,
+        logpdf=lambda x, a, b: math.log(b) + a * x - (b / a) * np.expm1(a * x),
+        cdf=lambda x, a, b: -np.expm1(-(b / a) * np.expm1(a * x)),
+        quantile=lambda q, a, b: np.log1p(-(a / b) * np.log1p(-q)) / a,
+        start=_gompertz_start,
+    ),
+    "normal": _Family(
+        ("mean", "sd"), (False, True), False,
+        logpdf=_norm_logpdf,
+        cdf=lambda x, m, s: ndtr((x - m) / s),
+        quantile=lambda q, m, s: m + s * ndtri(q),
+        start=_normal_start,
+        draw=lambda gen, n, m, s: m + s * gen.standard_normal(n),
+    ),
+    "cauchy": _Family(
+        ("location", "scale"), (False, True), False,
+        logpdf=_cauchy_logpdf,
+        cdf=lambda x, loc, scale: 0.5 + np.arctan((x - loc) / scale) / math.pi,
+        quantile=lambda q, loc, scale: loc + scale * np.tan(math.pi * (q - 0.5)),
+        start=_cauchy_start,
+    ),
+    "gumbel": _Family(
+        ("location", "scale"), (False, True), False,
+        logpdf=lambda x, loc, scale: (
+            -math.log(scale) - (x - loc) / scale - np.exp(-((x - loc) / scale))
+        ),
+        cdf=lambda x, loc, scale: np.exp(-np.exp(-(x - loc) / scale)),
+        quantile=lambda q, loc, scale: loc - scale * np.log(-np.log(q)),
+        start=_gumbel_start,
+    ),
+    "weibull-normal-mixture": _Family(
+        ("weibull_shape", "weibull_scale", "normal_mean", "normal_sd"),
+        (True, True, False, True),
+        False,
+        logpdf=_mixture_logpdf,
+        cdf=_mixture_cdf,
+        quantile=lambda q, *p: np.array(
+            [_mixture_quantile_scalar(float(v), p) for v in np.atleast_1d(q)]
+        ),
+        start=_mixture_start,
+        draw=_mixture_draw,
+    ),
+}
+
+# registry order doubles as the tie-break rule when CvM p-values are equal
+CANONICAL_FAMILIES = tuple(_FAMILIES)
+
+
+# ---------------------------------------------------------------------------
+# evaluation and sampling, dispatched through the registry
+
+
 def _logpdf(family: ParametricFamily, x: np.ndarray) -> np.ndarray:
-    p = family.parameters
-    fid = family.family_id
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if fid == "exponential":
-            return math.log(p[0]) - p[0] * x
-        if fid == "weibull":
-            return _weibull_logpdf(x, p[0], p[1])
-        if fid == "gamma":
-            return p[0] * math.log(p[1]) + (p[0] - 1.0) * np.log(x) - p[1] * x - gammaln(p[0])
-        if fid == "log-normal":
-            return _norm_logpdf(np.log(x), p[0], p[1]) - np.log(x)
-        if fid == "inverse-gamma":
-            return p[0] * math.log(p[1]) - gammaln(p[0]) - (p[0] + 1.0) * np.log(x) - p[1] / x
-        if fid == "log-logistic":
-            z = np.log(x / p[1]) * p[0]
-            return math.log(p[0] / p[1]) + (p[0] - 1.0) * np.log(x / p[1]) - 2.0 * np.logaddexp(0.0, z)
-        if fid == "gompertz":
-            return math.log(p[1]) + p[0] * x - (p[1] / p[0]) * np.expm1(p[0] * x)
-        if fid == "normal":
-            return _norm_logpdf(x, p[0], p[1])
-        if fid == "cauchy":
-            z = (x - p[0]) / p[1]
-            return -np.log(math.pi * p[1] * (1.0 + z * z))
-        if fid == "gumbel":
-            z = (x - p[0]) / p[1]
-            return -math.log(p[1]) - z - np.exp(-z)
-        if fid == "weibull-normal-mixture":
-            return _mixture_logpdf(x, *p)
-    raise DomainError(f"unknown family {fid!r}")
+        return _FAMILIES[family.family_id].logpdf(x, *family.parameters)
 
 
 def _cdf(family: ParametricFamily, x: np.ndarray) -> np.ndarray:
-    p = family.parameters
-    fid = family.family_id
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if fid == "exponential":
-            return -np.expm1(-p[0] * x)
-        if fid == "weibull":
-            return -np.expm1(-((x / p[1]) ** p[0]))
-        if fid == "gamma":
-            return gammainc(p[0], p[1] * x)
-        if fid == "log-normal":
-            return ndtr((np.log(x) - p[0]) / p[1])
-        if fid == "inverse-gamma":
-            return gammaincc(p[0], p[1] / x)
-        if fid == "log-logistic":
-            z = (x / p[1]) ** p[0]
-            return z / (1.0 + z)
-        if fid == "gompertz":
-            return -np.expm1(-(p[1] / p[0]) * np.expm1(p[0] * x))
-        if fid == "normal":
-            return ndtr((x - p[0]) / p[1])
-        if fid == "cauchy":
-            return 0.5 + np.arctan((x - p[0]) / p[1]) / math.pi
-        if fid == "gumbel":
-            return np.exp(-np.exp(-(x - p[0]) / p[1]))
-        if fid == "weibull-normal-mixture":
-            return _mixture_cdf(x, *p)
-    raise DomainError(f"unknown family {fid!r}")
+        return _FAMILIES[family.family_id].cdf(x, *family.parameters)
 
 
 def _quantile(family: ParametricFamily, q: np.ndarray) -> np.ndarray:
-    p = family.parameters
-    fid = family.family_id
-    if fid == "exponential":
-        return -np.log1p(-q) / p[0]
-    if fid == "weibull":
-        return p[1] * (-np.log1p(-q)) ** (1.0 / p[0])
-    if fid == "gamma":
-        return gammaincinv(p[0], q) / p[1]
-    if fid == "log-normal":
-        return np.exp(p[0] + p[1] * ndtri(q))
-    if fid == "inverse-gamma":
-        return p[1] / gammainccinv(p[0], q)
-    if fid == "log-logistic":
-        return p[1] * (q / (1.0 - q)) ** (1.0 / p[0])
-    if fid == "gompertz":
-        return np.log1p(-(p[0] / p[1]) * np.log1p(-q)) / p[0]
-    if fid == "normal":
-        return p[0] + p[1] * ndtri(q)
-    if fid == "cauchy":
-        return p[0] + p[1] * np.tan(math.pi * (q - 0.5))
-    if fid == "gumbel":
-        return p[0] - p[1] * np.log(-np.log(q))
-    if fid == "weibull-normal-mixture":
-        return np.array([_mixture_quantile_scalar(float(v), p) for v in np.atleast_1d(q)])
-    raise DomainError(f"unknown family {fid!r}")
+    return _FAMILIES[family.family_id].quantile(q, *family.parameters)
 
 
 def _check_support(family: ParametricFamily, x: np.ndarray, what: str) -> None:
@@ -336,29 +473,16 @@ def quantile(family: ParametricFamily, q) -> np.ndarray | float:
 
 
 def sample(family: ParametricFamily, n: int, rng: RandomStream | np.random.Generator) -> np.ndarray:
-    """Draw n values from the family, deterministically under a fixed stream."""
+    """Draw n values from the family, deterministically under a fixed stream.
+
+    Families without a direct sampler go through the inverse transform.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    gen = _generator(rng)
-    p = family.parameters
-    fid = family.family_id
-    if fid == "gamma":
-        return gen.gamma(p[0], 1.0, size=n) / p[1]
-    if fid == "inverse-gamma":
-        return p[1] / gen.gamma(p[0], 1.0, size=n)
-    if fid == "log-normal":
-        return np.exp(p[0] + p[1] * gen.standard_normal(n))
-    if fid == "normal":
-        return p[0] + p[1] * gen.standard_normal(n)
-    if fid == "weibull-normal-mixture":
-        pick_weibull = gen.random(n) < MIXTURE_WEIBULL_WEIGHT
-        out = np.empty(n, dtype=float)
-        n_weib = int(np.count_nonzero(pick_weibull))
-        weib = ParametricFamily("weibull", (p[0], p[1]))
-        out[pick_weibull] = _quantile(weib, gen.random(n_weib))
-        out[~pick_weibull] = p[2] + p[3] * gen.standard_normal(n - n_weib)
-        return out
-    # closed-form quantile families go through the inverse transform
+    gen = as_generator(rng)
+    draw = _FAMILIES[family.family_id].draw
+    if draw is not None:
+        return draw(gen, n, *family.parameters)
     return np.asarray(_quantile(family, gen.random(n)), dtype=float)
 
 
@@ -408,80 +532,6 @@ def cvm_test(sample_values, family: ParametricFamily) -> tuple[float, float]:
 # maximum likelihood
 
 
-def _weibull_moment_start(x: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(x))
-    sd = float(np.std(x))
-    if sd == 0.0 or mean <= 0.0:
-        return 1.0, max(mean, 1e-6)
-    shape = float(np.clip((sd / mean) ** -1.086, 0.05, 50.0))
-    scale = mean / math.gamma(1.0 + 1.0 / shape)
-    return shape, max(scale, 1e-12)
-
-
-def _gompertz_start(x: np.ndarray) -> tuple[float, float]:
-    m = float(np.quantile(x, 0.5))
-    q = float(np.quantile(x, 0.9))
-    ratio = math.log(10.0) / math.log(2.0)
-    if m <= 0.0 or q <= m or q / m >= ratio:
-        a = 1e-4 / max(float(np.mean(x)), 1e-12)
-    else:
-
-        def gap(a_try: float) -> float:
-            return math.expm1(a_try * q) / math.expm1(a_try * m) - ratio
-
-        lo, hi = 1e-8 / m, 50.0 / m
-        a = float(optimize.brentq(gap, lo, hi)) if gap(lo) < 0.0 < gap(hi) else 1e-4 / m
-    b = a * math.log(2.0) / math.expm1(a * m) if a * m < 700 else 1.0 / m
-    return max(a, 1e-12), max(b, 1e-12)
-
-
-def _start_values(family_id: str, x: np.ndarray) -> tuple[float, ...]:
-    mean = float(np.mean(x))
-    var = float(np.var(x))
-    if family_id == "exponential":
-        return (1.0 / mean,)
-    if family_id == "weibull":
-        return _weibull_moment_start(x)
-    if family_id == "gamma":
-        shape = float(np.clip(mean * mean / var, 1e-3, 1e6))
-        return shape, shape / mean
-    if family_id == "log-normal":
-        lx = np.log(x)
-        return float(np.mean(lx)), max(float(np.std(lx)), 1e-9)
-    if family_id == "inverse-gamma":
-        shape = mean * mean / var + 2.0
-        return shape, mean * (shape - 1.0)
-    if family_id == "log-logistic":
-        lx = np.log(x)
-        spread = max(float(np.std(lx)), 1e-9)
-        return math.pi / (math.sqrt(3.0) * spread), math.exp(float(np.mean(lx)))
-    if family_id == "gompertz":
-        return _gompertz_start(x)
-    if family_id == "normal":
-        return mean, max(math.sqrt(var), 1e-9)
-    if family_id == "cauchy":
-        q1, q3 = np.quantile(x, [0.25, 0.75])
-        spread = max(float(q3 - q1) / 2.0, 1e-9 * max(abs(mean), 1.0), 1e-12)
-        return float(np.median(x)), spread
-    if family_id == "gumbel":
-        scale = max(math.sqrt(6.0 * var) / math.pi, 1e-9)
-        return mean - _EULER_GAMMA * scale, scale
-    if family_id == "weibull-normal-mixture":
-        med = float(np.median(x))
-        lower = x[x <= med]
-        upper = x[x > med]
-        if lower.size >= 2 and np.min(lower) > 0.0:
-            wshape, wscale = _weibull_moment_start(lower)
-        else:
-            wshape, wscale = 1.0, max(abs(med), 1.0)
-        if upper.size >= 2:
-            nmean, nsd = float(np.mean(upper)), max(float(np.std(upper)), 1e-9)
-        else:
-            nmean, nsd = mean, max(math.sqrt(var), 1e-9)
-        return wshape, wscale, nmean, nsd
-    raise DomainError(f"unknown family {family_id!r}")
-
-
 def _loglik(family_id: str, params: tuple[float, ...], x: np.ndarray) -> float:
     try:
         fam = ParametricFamily(family_id, params)
@@ -492,60 +542,10 @@ def _loglik(family_id: str, params: tuple[float, ...], x: np.ndarray) -> float:
     return total if math.isfinite(total) else -np.inf
 
 
-def _fit_inverse_gamma(x: np.ndarray) -> tuple[tuple[float, float], bool]:
-    """Newton-Raphson on the profiled shape score, damped for stability."""
-    m1 = float(np.mean(1.0 / x))
-    mlog = float(np.mean(np.log(x)))
-    rhs = math.log(m1) + mlog
-    if rhs <= 0.0:
-        raise FitFailureError("inverse-gamma score has no root for this sample")
-
-    def score(a: float) -> float:
-        return math.log(a) - float(digamma(a)) - rhs
-
-    alpha = max(float(np.mean(x)) ** 2 / max(float(np.var(x)), 1e-300) + 2.0, 1e-2)
-    g = score(alpha)
-    converged = False
-    for _ in range(MAX_FIT_ITERATIONS):
-        slope = 1.0 / alpha - float(polygamma(1, alpha))
-        step = g / slope
-        new_alpha = alpha - step
-        for _ in range(60):
-            if new_alpha > 0.0 and abs(score(new_alpha)) <= abs(g):
-                break
-            step *= 0.5
-            new_alpha = alpha - step
-        moved = abs(new_alpha - alpha)
-        alpha = new_alpha
-        g = score(alpha)
-        if abs(g) < 1e-13 or moved <= FIT_TOLERANCE * (1.0 + alpha):
-            converged = True
-            break
-    return (alpha, alpha / m1), converged
-
-
-def _fit_exponential(x: np.ndarray) -> tuple[tuple[float], bool]:
-    n = x.size
-    total = float(np.sum(x))
-
-    def objective(u: np.ndarray) -> tuple[float, np.ndarray]:
-        rate = math.exp(float(u[0]))
-        return -(n * float(u[0]) - rate * total), np.array([-(n - rate * total)])
-
-    res = optimize.minimize(
-        objective,
-        x0=np.array([math.log(1.0 / float(np.mean(x)))]),
-        jac=True,
-        method="BFGS",
-        options={"maxiter": MAX_FIT_ITERATIONS, "gtol": FIT_TOLERANCE},
-    )
-    return (math.exp(float(res.x[0])),), bool(res.success)
-
-
 def _fit_nelder_mead(
     family_id: str, x: np.ndarray, start: tuple[float, ...]
 ) -> tuple[tuple[float, ...], bool]:
-    positive = _FAMILY_META[family_id].positive
+    positive = _FAMILIES[family_id].positive
 
     def to_natural(y: np.ndarray) -> tuple[float, ...]:
         return tuple(
@@ -573,7 +573,8 @@ def _fit_nelder_mead(
 
 def fit_mle(family_id: str, sample_values) -> FittedDistribution:
     """Fit one family by maximum likelihood and score it with the CvM test."""
-    if family_id not in _FAMILY_META:
+    spec = _FAMILIES.get(family_id)
+    if spec is None:
         raise DomainError(f"unknown family {family_id!r}")
     x = np.asarray(sample_values, dtype=float)
     if x.size < 2:
@@ -582,18 +583,16 @@ def fit_mle(family_id: str, sample_values) -> FittedDistribution:
         raise ValueError("sample must be finite")
     if float(np.min(x)) == float(np.max(x)):
         raise FitFailureError(f"{family_id}: degenerate sample, all values equal")
-    if _FAMILY_META[family_id].positive_support and float(np.min(x)) <= 0.0:
+    if spec.positive_support and float(np.min(x)) <= 0.0:
         raise SupportError(f"family {family_id} needs a strictly positive sample")
 
-    start = _start_values(family_id, x)
+    start = spec.start(x)
     start_ll = _loglik(family_id, start, x)
     if not math.isfinite(start_ll):
         raise FitFailureError(f"{family_id}: likelihood not finite at the starting point")
 
-    if family_id == "exponential":
-        params, converged = _fit_exponential(x)
-    elif family_id == "inverse-gamma":
-        params, converged = _fit_inverse_gamma(x)
+    if spec.fit is not None:
+        params, converged = spec.fit(x, start)
     else:
         params, converged = _fit_nelder_mead(family_id, x, start)
 

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArmData, RandomStream, arm_from_arrays, observe_arrays
+from .core import (
+    ArmData,
+    RandomStream,
+    arm_from_arrays,
+    as_generator,
+    km_from_arrays,
+    observe_arrays,
+)
 from .distributions import (
     FittedDistribution,
     SelectionError,
@@ -36,10 +43,6 @@ KDE_GRID_POINTS = 1024
 KDE_ENVELOPE_SAFETY = 1.01
 STALL_PROPOSALS = 10_000_000
 STALL_ACCEPT_RATE = 1e-6
-
-# perturbation attached to latent values that must land just past a time point
-_NUDGE_LOW = 1e-30
-_NUDGE_HIGH = 1e-20
 
 
 class ModelBuildError(RuntimeError):
@@ -70,12 +73,6 @@ def split_subsets(arm: ArmData) -> tuple[np.ndarray, np.ndarray]:
     times = arm.times()
     status = arm.statuses()
     return times[status == 1], times[status == 0]
-
-
-def _generator(rng: RandomStream | np.random.Generator) -> np.random.Generator:
-    if isinstance(rng, RandomStream):
-        return rng.generator
-    return rng
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +132,7 @@ def kde_sample(kde: KdeDensity, n: int, rng: RandomStream | np.random.Generator)
     """Rejection sampling under the flat envelope over the domain."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    gen = _generator(rng)
+    gen = as_generator(rng)
     out = np.empty(n, dtype=float)
     filled = 0
     proposed = 0
@@ -181,20 +178,9 @@ class CensoringDistribution:
 
 
 def censoring_km(arm: ArmData) -> CensoringDistribution:
-    times = arm.times()
-    status = arm.statuses()
-    censor_times = np.unique(times[status == 0])
-    sorted_times = np.sort(times)
-    n = times.size
-    surv = 1.0
-    masses = []
-    for c in censor_times:
-        at_risk = n - int(np.searchsorted(sorted_times, c, side="left"))
-        d = int(np.count_nonzero((times == c) & (status == 0)))
-        new_surv = surv * (1.0 - d / at_risk)
-        masses.append(surv - new_surv)
-        surv = new_surv
-    return CensoringDistribution(censor_times, np.asarray(masses, dtype=float))
+    curve = km_from_arrays(arm.times(), 1 - arm.statuses())
+    masses = -np.diff(np.concatenate(([1.0], curve.survivals())))
+    return CensoringDistribution(curve.times(), masses)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +285,7 @@ def _simulate_kde(model: ArmModel, n_out: int, gen: np.random.Generator) -> ArmD
 
 def case_resample(model: ArmModel, n_out: int, rng: RandomStream | np.random.Generator) -> ArmData:
     """Draw whole observations with replacement; any output size is fine."""
-    gen = _generator(rng)
+    gen = as_generator(rng)
     idx = gen.integers(0, model.n_source, size=n_out)
     obs = model.source.observations
     return ArmData(model.label, tuple(obs[i] for i in idx))
@@ -312,12 +298,15 @@ def conditional_bootstrap(
 
     Censored subjects keep their censoring time; subjects with an event
     get a censoring time drawn from the censoring-distribution estimate
-    restricted to times beyond their own. The largest observation gets a
-    latent partner nudged just past itself so it can reappear in the
-    output, and event times are drawn with replacement from the source
-    event pool.
+    restricted to times beyond their own. Event times are drawn with
+    replacement from the source event pool.
+
+    The largest observation's latent partner equals its own time, and a
+    tie resolves to censored: if it is censored it stays censored at its
+    own time, and if it is an event it comes out censored at its own time
+    whenever that time is redrawn for it.
     """
-    gen = _generator(rng)
+    gen = as_generator(rng)
     if n_out != model.n_source:
         raise SizeMismatchError(
             f"conditional bootstrap must keep the source size {model.n_source}, got {n_out}"
@@ -334,13 +323,7 @@ def conditional_bootstrap(
     event_latent = np.full(n, np.nan)
     censor_latent = np.empty(n)
     for i in range(n):
-        if i == max_idx:
-            if s[i] == 0:
-                censor_latent[i] = t[i]
-                event_latent[i] = t[i] + gen.uniform(_NUDGE_LOW, _NUDGE_HIGH)
-            else:
-                censor_latent[i] = t[i] + gen.uniform(_NUDGE_LOW, _NUDGE_HIGH)
-        elif s[i] == 0:
+        if i == max_idx or s[i] == 0:
             censor_latent[i] = t[i]
         else:
             lo = int(np.searchsorted(atoms, t[i], side="right"))
@@ -348,14 +331,13 @@ def conditional_bootstrap(
             tail = total - below
             if lo >= atoms.size or tail <= 0.0:
                 # no conditional mass left beyond t[i]
-                if atoms.size:
-                    censor_latent[i] = float(atoms[-1]) + gen.uniform(_NUDGE_LOW, _NUDGE_HIGH)
-                else:
-                    censor_latent[i] = np.inf
+                censor_latent[i] = float(atoms[-1]) if atoms.size else np.inf
             else:
                 target = below + gen.random() * tail
                 j = int(np.searchsorted(cum, target, side="left"))
                 censor_latent[i] = float(atoms[min(max(j, lo), atoms.size - 1)])
+    if s[max_idx] == 0:
+        event_latent[max_idx] = t[max_idx]
 
     pool = t[s == 1]
     to_draw = np.isnan(event_latent)
@@ -369,7 +351,7 @@ def simulate(model: ArmModel, n_out: int, rng: RandomStream | np.random.Generato
     """Generate one synthetic arm of size n_out from a fitted model."""
     if n_out < 1:
         raise SizeMismatchError(f"n_out must be >= 1, got {n_out}")
-    gen = _generator(rng)
+    gen = as_generator(rng)
     if model.engine == "parametric":
         return _simulate_parametric(model, n_out, gen)
     if model.engine == "kde":

@@ -11,7 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RandomStream, StudyDataset, StudyMetadata, load_dataset, load_metadata
+from .core import (
+    RandomStream,
+    StructureError,
+    StudyDataset,
+    StudyMetadata,
+    load_dataset,
+    load_metadata,
+)
 from .engines import ArmModel, ModelBuildError, build_model, canonical_engine, simulate
 from .evaluate import EvaluationResult, evaluate_dataset
 
@@ -302,14 +309,19 @@ def load_config(path: str) -> BenchmarkConfig:
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
+    try:
+        entries = [(entry["dataset"], entry["metadata"]) for entry in raw["studies"]]
+        engines = list(raw["engines"])
+    except KeyError as exc:
+        raise StructureError(f"{path}: missing config key {exc}") from None
     studies = []
-    for entry in raw["studies"]:
-        dataset = load_dataset(resolve(entry["dataset"]))
-        metadata = load_metadata(resolve(entry["metadata"]))
+    for dataset_path, metadata_path in entries:
+        dataset = load_dataset(resolve(dataset_path))
+        metadata = load_metadata(resolve(metadata_path))
         studies.append(StudyRecord(dataset, metadata, evaluate_dataset(dataset)))
     return BenchmarkConfig(
         studies=studies,
-        engines=list(raw["engines"]),
+        engines=engines,
         iterations=int(raw.get("iterations", 10000)),
         base_seed=int(raw.get("seed", 0)),
         workers=int(raw.get("workers", 1)),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,29 +169,25 @@ def _pass_interval(
     return _PassResult(events, list(censor_times), n, surv)
 
 
-def _reconcile_interval(
+def _reconcile(
     clicks: list[tuple[float, float]],
     t_start: float,
     t_end: float,
     n_start: int,
     surv_start: float,
-    target_survival_end: float,
-    target_n_end: int,
+    censor_count: int,
+    residual: Callable[[_PassResult], int],
     iteration_cap: int,
 ) -> tuple[_PassResult, bool, int]:
-    """Adjust the censor count until the published end-of-interval risk is met.
+    """Adjust the censor count by the residual until the residual is zero.
 
-    When no censor count can reconcile the digitized drops with the
-    published at-risk target (the drops alone already overshoot it),
-    the closest pass is kept and the mismatch is reported through the
-    convergence flag rather than an error: the conflict is digitization
-    noise, not an impossible input.
+    Inside the risk table the residual is the end-of-interval at-risk gap;
+    past its last row it is the gap to the published event total. When no
+    censor count can close the gap (the digitized drops alone already
+    overshoot it), the closest pass is kept and the mismatch is reported
+    through the convergence flag rather than an error: the conflict is
+    digitization noise, not an impossible input.
     """
-    if surv_start > 0.0:
-        implied = int(round(n_start * target_survival_end / surv_start))
-    else:
-        implied = 0
-    censor_count = min(max(implied - target_n_end, 0), n_start)
     best: _PassResult | None = None
     best_diff = None
     seen: set[int] = set()
@@ -200,7 +197,7 @@ def _reconcile_interval(
         seen.add(censor_count)
         positions = _uniform_positions(t_start, t_end, censor_count)
         result = _pass_interval(clicks, positions, n_start, surv_start)
-        diff = result.n_end - target_n_end
+        diff = residual(result)
         if best_diff is None or abs(diff) < abs(best_diff):
             best, best_diff = result, diff
         if diff == 0:
@@ -211,42 +208,6 @@ def _reconcile_interval(
         censor_count = next_count
     assert best is not None
     return best, False, iterations
-
-
-def _calibrate_tail(
-    clicks: list[tuple[float, float]],
-    t_start: float,
-    t_end: float,
-    n_start: int,
-    surv_start: float,
-    target_events: int | None,
-    iteration_cap: int,
-) -> tuple[_PassResult, bool, int]:
-    """After the last risk row, censoring is tuned against the event total."""
-    if target_events is None:
-        return _pass_interval(clicks, [], n_start, surv_start), True, 1
-    censor_count = 0
-    best: _PassResult | None = None
-    best_diff = None
-    seen: set[int] = set()
-    iterations = 0
-    while iterations < iteration_cap:
-        iterations += 1
-        seen.add(censor_count)
-        positions = _uniform_positions(t_start, t_end, censor_count)
-        result = _pass_interval(clicks, positions, n_start, surv_start)
-        achieved = sum(d for _, d in result.events)
-        diff = achieved - target_events
-        if best_diff is None or abs(diff) < abs(best_diff):
-            best, best_diff = result, diff
-        if diff == 0:
-            return result, True, iterations
-        next_count = min(max(censor_count + diff, 0), n_start)
-        if next_count == censor_count or next_count in seen:
-            break
-        censor_count = next_count
-    assert best is not None
-    return best, best_diff == 0, iterations
 
 
 def reconstruct_arm(
@@ -283,14 +244,16 @@ def reconstruct_arm(
                 f"interval {name}: published at-risk rises from "
                 f"{published_start} to {published_end}"
             )
-        result, ok, used = _reconcile_interval(
+        # start from the censor count the published survival implies
+        implied = int(round(n_cur * survival_before(t_end) / surv)) if surv > 0.0 else 0
+        result, ok, used = _reconcile(
             clicks_between(t_start, t_end),
             t_start,
             t_end,
             n_cur,
             surv,
-            survival_before(t_end),
-            published_end,
+            min(max(implied - published_end, 0), n_cur),
+            lambda r: r.n_end - published_end,
             iteration_cap,
         )
         converged = converged and ok
@@ -306,12 +269,21 @@ def reconstruct_arm(
     t_last = risk[-1][0]
     tail_clicks = [(t, s) for t, s in coords if t >= t_last]
     t_end_time = max([t for t, _ in coords] + [t_last])
-    target_tail = None
-    if arm.total_events is not None:
+    if arm.total_events is None:
+        result, ok, used = _pass_interval(tail_clicks, [], n_cur, surv), True, 1
+    else:
+        # past the risk table, censoring is tuned against the event total
         target_tail = max(arm.total_events - sum(event_counts), 0)
-    result, ok, used = _calibrate_tail(
-        tail_clicks, t_last, t_end_time, n_cur, surv, target_tail, iteration_cap
-    )
+        result, ok, used = _reconcile(
+            tail_clicks,
+            t_last,
+            t_end_time,
+            n_cur,
+            surv,
+            0,
+            lambda r: sum(d for _, d in r.events) - target_tail,
+            iteration_cap,
+        )
     iterations_total += used
     for t, d in result.events:
         event_times.append(t)

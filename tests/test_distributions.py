@@ -169,6 +169,14 @@ class TestMaximumLikelihood:
         assert fit.family.parameters[0] == pytest.approx(0.4, rel=1e-7)
         assert fit.converged
 
+    def test_exponential_fit_is_the_converged_closed_form(self):
+        # 1/mean is the MLE itself; an iterative refit could land an ulp
+        # below it and was then reported as not converged
+        x = sample(ParametricFamily("exponential", (0.1,)), 20, RandomStream(11, 13))
+        fit = fit_mle("exponential", x)
+        assert fit.family.parameters == (1.0 / float(np.mean(x)),)
+        assert fit.converged
+
     def test_log_normal_closed_form(self):
         xs = np.array([1.0, 3.0, 9.0, 27.0])
         fit = fit_mle("log-normal", xs)
@@ -300,3 +308,78 @@ class TestSelection:
 def test_fitted_distribution_json_round_trip():
     fit = FittedDistribution(family("gamma"), -12.5, 0.04, 0.61, True)
     assert FittedDistribution.from_json(fit.to_json()) == fit
+
+
+# family_id, first three draws of sample(family, 80, RandomStream(9, index)),
+# then fit_mle(family_id, those 80 draws).family.parameters; compared exactly,
+# so any change in sampling order or fitting arithmetic shows up bit for bit
+PINNED = [
+    (
+        "exponential",
+        (0.44195526172076555, 0.8520744069542029, 2.928292506477645),
+        (0.7852327725972739,),
+    ),
+    (
+        "weibull",
+        (4.368634295827959, 3.994577692806953, 5.034875767416712),
+        (1.4192915424554466, 9.12028245577033),
+    ),
+    (
+        "gamma",
+        (2.990139132591989, 1.2824303802812547, 2.5627040927026465),
+        (3.1531525952813024, 2.05526884713092),
+    ),
+    (
+        "log-normal",
+        (6.35362890931321, 2.0653608615778287, 2.2664119660557405),
+        (1.1961712895314345, 0.5249313856823672),
+    ),
+    (
+        "inverse-gamma",
+        (2.078003371826965, 1.3167652604039808, 0.9021550737572849),
+        (3.0581565159757176, 4.358578919838192),
+    ),
+    (
+        "log-logistic",
+        (7.8595635597709474, 6.662523459809569, 5.250868689396792),
+        (2.907170716460404, 7.342358594824613),
+    ),
+    (
+        "gompertz",
+        (8.618035770514421, 2.6158904420729385, 20.776275777602272),
+        (0.06014944841958832, 0.027102200079566277),
+    ),
+    (
+        "normal",
+        (44.35562185827052, 54.09455015032186, 49.46531523271206),
+        (49.669444818743486, 5.064737499744651),
+    ),
+    (
+        "cauchy",
+        (10.219410493892253, 10.690720775351638, 14.199448414511275),
+        (12.01514168759115, 2.691512993085773),
+    ),
+    (
+        "gumbel",
+        (10.935453279536885, 9.419276110834275, 6.810661121905876),
+        (10.07144050354855, 2.673642426852805),
+    ),
+    (
+        "weibull-normal-mixture",
+        (2.4673088335187474, 24.89581747621744, 34.18564427960571),
+        (2.4437717065795246, 3.778998893088233, 30.612984515435667, 4.020179121464966),
+    ),
+]
+
+
+@pytest.mark.parametrize("fam_id, first_draws, fitted", PINNED)
+def test_pinned_draws_and_fit(fam_id, first_draws, fitted):
+    draws = sample(family(fam_id), 80, RandomStream(9, CANONICAL_FAMILIES.index(fam_id)))
+    assert tuple(float(v) for v in draws[:3]) == first_draws
+    fit = fit_mle(fam_id, draws)
+    assert fit.family.parameters == fitted
+    assert fit.converged
+
+
+def test_pinned_table_covers_every_family_in_canonical_order():
+    assert tuple(fam_id for fam_id, *_ in PINNED) == CANONICAL_FAMILIES

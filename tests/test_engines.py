@@ -390,10 +390,10 @@ class TestConditionalBootstrap:
                 assert o.status == 1 and o.time < t[i]
 
     def test_largest_event_row_outcomes(self):
-        # the largest observation is an event; its new censoring time sits
-        # an underflow-sized step past 6.0, so redrawing its own time makes
-        # a tie that resolves to censored at 6.0, while drawing the earlier
-        # pool time keeps it an event
+        # the largest observation is an event; its latent censoring partner
+        # equals its own time 6.0, so redrawing that time makes a tie that
+        # resolves to censored at 6.0, while drawing the earlier pool time
+        # keeps it an event
         arm = arm_of([(1.0, 0), (2.0, 1), (6.0, 1)])
         model = build_model("condboot", arm)
         seen = set()

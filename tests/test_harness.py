@@ -10,6 +10,7 @@ from survbench.core import (
     ArmData,
     Observation,
     StudyDataset,
+    StructureError,
     StudyMetadata,
     load_dataset,
     store_dataset,
@@ -362,6 +363,22 @@ class TestLoadConfig:
         assert config.iterations == 10000
         assert config.base_seed == 0
         assert config.workers == 1
+
+    @pytest.mark.parametrize("missing", ["studies", "engines", "dataset", "metadata"])
+    def test_missing_key_names_the_file_and_the_key(self, tmp_path, missing):
+        self.write_study(tmp_path, "alpha", 5)
+        raw = {
+            "studies": [{"dataset": "alpha.csv", "metadata": "alpha.json"}],
+            "engines": ["case"],
+        }
+        if missing in raw:
+            del raw[missing]
+        else:
+            del raw["studies"][0][missing]
+        config_path = tmp_path / "bench.json"
+        config_path.write_text(json.dumps(raw))
+        with pytest.raises(StructureError, match=f"bench.json: missing config key '{missing}'"):
+            load_config(str(config_path))
 
 
 # ---------------------------------------------------------------------------
