@@ -74,33 +74,72 @@ def observe_arrays(event_times: np.ndarray, censoring_times: np.ndarray) -> tupl
     return times, status
 
 
-@dataclass
+def _column(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 class ArmData:
-    """All observations of one treatment arm."""
+    """All observations of one treatment arm, held as two read-only columns.
 
-    label: str
-    observations: tuple[Observation, ...]
+    ``times()`` and ``statuses()`` return the columns themselves;
+    ``.observations`` is a lazy view, built on first access and cached.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.label:
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, label: str, observations: tuple[Observation, ...]) -> None:
+        obs = tuple(observations)
+        self._set_columns(label, [o.time for o in obs], [o.status for o in obs], obs)
+
+    def _set_columns(self, label: str, times, status, observations=None) -> None:
+        if not label:
             raise ValueError("arm label must be non-empty")
-        self.observations = tuple(self.observations)
-        if not self.observations:
-            raise ValueError(f"arm {self.label!r} has no observations")
+        self.label, self._times, status = label, _column(times, float), np.asarray(status)
+        if self._times.size == 0:
+            raise ValueError(f"arm {label!r} has no observations")
+        if self._times.ndim != 1 or status.shape != self._times.shape:
+            raise ValueError(f"arm {label!r}: times and status must be 1-d and of equal length")
+        if not np.all(np.isfinite(self._times) & (self._times >= 0.0)):
+            raise ValueError(f"arm {label!r}: observation times must be finite and >= 0")
+        if not np.all((status == 0) | (status == 1)):
+            raise ValueError(f"arm {label!r}: status must be 0 or 1")
+        self._status, self._observations = _column(status, np.int64), observations
+
+    @property
+    def observations(self) -> tuple[Observation, ...]:
+        if self._observations is None:
+            self._observations = tuple(map(Observation, self._times.tolist(), self._status.tolist()))
+        return self._observations
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return self._times.size
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ArmData):
+            return NotImplemented
+        return (
+            self.label == other.label
+            and np.array_equal(self._times, other._times)
+            and np.array_equal(self._status, other._status)
+        )
+
+    def __repr__(self) -> str:
+        return f"ArmData(label={self.label!r}, n={len(self)})"
 
     def times(self) -> np.ndarray:
-        return np.array([o.time for o in self.observations], dtype=float)
+        return self._times
 
     def statuses(self) -> np.ndarray:
-        return np.array([o.status for o in self.observations], dtype=np.int64)
+        return self._status
 
 
 def arm_from_arrays(label: str, times: np.ndarray, status: np.ndarray) -> ArmData:
-    obs = tuple(Observation(float(t), int(s)) for t, s in zip(times, status))
-    return ArmData(label, obs)
+    """An arm from time and status columns (copied), with no per-row objects."""
+    arm = ArmData.__new__(ArmData)
+    arm._set_columns(label, times, status)
+    return arm
 
 
 @dataclass
@@ -150,45 +189,43 @@ class KmStep:
     survival: float
 
 
-@dataclass
+_KM_COLUMNS = ("time", "at_risk", "events", "survival")
+
+
 class KmCurve:
     """Product-limit estimate; steps occur at event times only.
 
     Implicitly starts at S(0) = 1 and extends as a constant beyond its
-    last step.
+    last step. Held as read-only ``time``/``at_risk``/``events``/``survival``
+    columns; ``.steps`` is a lazy, cached view of float/int :class:`KmStep`.
     """
 
-    steps: tuple[KmStep, ...]
+    def __init__(self, steps: tuple[KmStep, ...]) -> None:
+        steps = tuple(steps)
+        self._set_columns(*([getattr(st, name) for st in steps] for name in _KM_COLUMNS), steps)
 
-    def __post_init__(self) -> None:
-        self.steps = tuple(self.steps)
-        prev_t = -math.inf
-        prev_s = 1.0
-        prev_n = math.inf
-        for st in self.steps:
-            if st.time <= prev_t:
-                raise ValueError("step times must be strictly increasing")
-            if st.events < 1 or st.at_risk < st.events:
-                raise ValueError("each step needs 1 <= events <= at_risk")
-            if st.at_risk > prev_n:
-                raise ValueError("at-risk counts must be non-increasing")
-            if st.survival > prev_s + 1e-12:
-                raise ValueError("survival must be non-increasing")
-            prev_t, prev_s, prev_n = st.time, st.survival, st.at_risk
+    def _set_columns(self, time, at_risk, events, survival, steps=None) -> None:
+        self.time, self.survival = _column(time, float), _column(survival, float)
+        self.at_risk, self.events = _column(at_risk, np.int64), _column(events, np.int64)
+        if not np.all(np.diff(self.time) > 0.0):
+            raise ValueError("step times must be strictly increasing")
+        if not np.all((self.events >= 1) & (self.at_risk >= self.events)):
+            raise ValueError("each step needs 1 <= events <= at_risk")
+        if np.any(np.diff(self.at_risk) > 0):
+            raise ValueError("at-risk counts must be non-increasing")
+        if np.any(self.survival > np.concatenate(([1.0], self.survival[:-1])) + 1e-12):
+            raise ValueError("survival must be non-increasing")
+        self._steps = steps
+
+    @property
+    def steps(self) -> tuple[KmStep, ...]:
+        if self._steps is None:
+            self._steps = tuple(map(KmStep, *(getattr(self, name).tolist() for name in _KM_COLUMNS)))
+        return self._steps
 
     def survival_at(self, time: float) -> float:
-        s = 1.0
-        for st in self.steps:
-            if st.time > time:
-                break
-            s = st.survival
-        return s
-
-    def times(self) -> np.ndarray:
-        return np.array([st.time for st in self.steps], dtype=float)
-
-    def survivals(self) -> np.ndarray:
-        return np.array([st.survival for st in self.steps], dtype=float)
+        i = int(np.searchsorted(self.time, time, side="right"))
+        return float(self.survival[i - 1]) if i else 1.0
 
 
 def km_from_arrays(times: np.ndarray, status: np.ndarray) -> KmCurve:
@@ -196,22 +233,18 @@ def km_from_arrays(times: np.ndarray, status: np.ndarray) -> KmCurve:
 
     At each distinct event time t the at-risk count is the number of
     observations with time >= t, so subjects censored exactly at t are
-    still counted as at risk there.
+    still counted as at risk there. The running product multiplies the
+    factors in time order, as a step-by-step loop would.
     """
     times = np.asarray(times, dtype=float)
     status = np.asarray(status)
     if times.size == 0:
         raise ValueError("cannot estimate a curve from zero observations")
-    sorted_times = np.sort(times)
-    n = times.size
     event_times, event_counts = np.unique(times[status == 1], return_counts=True)
-    steps = []
-    surv = 1.0
-    for t, d in zip(event_times, event_counts):
-        at_risk = n - int(np.searchsorted(sorted_times, t, side="left"))
-        surv *= 1.0 - float(d) / at_risk
-        steps.append(KmStep(float(t), at_risk, int(d), surv))
-    return KmCurve(tuple(steps))
+    at_risk = times.size - np.searchsorted(np.sort(times), event_times, side="left")
+    curve = KmCurve.__new__(KmCurve)
+    curve._set_columns(event_times, at_risk, event_counts, np.cumprod(1.0 - event_counts / at_risk))
+    return curve
 
 
 def km_estimate(arm: ArmData) -> KmCurve:
@@ -220,10 +253,8 @@ def km_estimate(arm: ArmData) -> KmCurve:
 
 def median_survival(curve: KmCurve) -> float | None:
     """Smallest step time where survival falls to 0.5 or below, if any."""
-    for st in curve.steps:
-        if st.survival <= 0.5:
-            return st.time
-    return None
+    reached = np.flatnonzero(curve.survival <= 0.5)
+    return float(curve.time[reached[0]]) if reached.size else None
 
 
 @dataclass
@@ -269,7 +300,7 @@ def load_dataset(path: str) -> StudyDataset:
         raise ParseError(f"{path}: empty file")
     if tuple(rows[0]) != DATASET_HEADER:
         raise ParseError(f"{path} line 1: expected header {','.join(DATASET_HEADER)}")
-    by_arm: dict[str, list[Observation]] = {}
+    by_arm: dict[str, list[tuple[float, int]]] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 3:
             raise ParseError(f"{path} line {lineno}: expected 3 fields, got {len(row)}")
@@ -284,10 +315,10 @@ def load_dataset(path: str) -> StudyDataset:
             raise ParseError(f"{path} line {lineno}: time must be finite and >= 0")
         if row[2] not in ("0", "1"):
             raise ParseError(f"{path} line {lineno}: status must be 0 or 1, got {row[2]!r}")
-        by_arm.setdefault(label, []).append(Observation(time, int(row[2])))
+        by_arm.setdefault(label, []).append((time, int(row[2])))
     if len(by_arm) != 2:
         raise StructureError(f"{path}: expected exactly 2 arm labels, got {sorted(by_arm)}")
-    arms = tuple(ArmData(label, tuple(obs)) for label, obs in by_arm.items())
+    arms = tuple(arm_from_arrays(label, *zip(*pairs)) for label, pairs in by_arm.items())
     return StudyDataset(arms)  # type: ignore[arg-type]
 
 
@@ -296,8 +327,8 @@ def store_dataset(dataset: StudyDataset, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(DATASET_HEADER)
         for arm in dataset.arms:
-            for obs in arm.observations:
-                writer.writerow([arm.label, repr(obs.time), obs.status])
+            times = map(repr, arm.times().tolist())
+            writer.writerows(zip([arm.label] * len(arm), times, arm.statuses().tolist()))
 
 
 def load_metadata(path: str) -> StudyMetadata:

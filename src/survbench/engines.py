@@ -179,8 +179,8 @@ class CensoringDistribution:
 
 def censoring_km(arm: ArmData) -> CensoringDistribution:
     curve = km_from_arrays(arm.times(), 1 - arm.statuses())
-    masses = -np.diff(np.concatenate(([1.0], curve.survivals())))
-    return CensoringDistribution(curve.times(), masses)
+    masses = -np.diff(np.concatenate(([1.0], curve.survival)))
+    return CensoringDistribution(curve.time, masses)
 
 
 # ---------------------------------------------------------------------------
@@ -263,32 +263,23 @@ def _positive_draws(fit: FittedDistribution, n: int, gen: np.random.Generator) -
     raise SamplerStallError(f"family {fit.family.family_id} keeps producing non-positive times")
 
 
-def _simulate_parametric(model: ArmModel, n_out: int, gen: np.random.Generator) -> ArmData:
-    events = _positive_draws(model.event_fit, n_out, gen)
-    if model.censoring_fit is None:
+def _simulate_independent(label: str, sampler, event_src, censor_src, n_out: int, gen) -> ArmData:
+    """Independent event and censoring draws; without a censoring source nobody is censored."""
+    events = sampler(event_src, n_out, gen)
+    if censor_src is None:
         censorings = np.full(n_out, np.inf)
     else:
-        censorings = _positive_draws(model.censoring_fit, n_out, gen)
+        censorings = sampler(censor_src, n_out, gen)
     times, status = observe_arrays(events, censorings)
-    return arm_from_arrays(model.label, times, status)
-
-
-def _simulate_kde(model: ArmModel, n_out: int, gen: np.random.Generator) -> ArmData:
-    events = kde_sample(model.event_kde, n_out, gen)
-    if model.censoring_kde is None:
-        censorings = np.full(n_out, np.inf)
-    else:
-        censorings = kde_sample(model.censoring_kde, n_out, gen)
-    times, status = observe_arrays(events, censorings)
-    return arm_from_arrays(model.label, times, status)
+    return arm_from_arrays(label, times, status)
 
 
 def case_resample(model: ArmModel, n_out: int, rng: RandomStream | np.random.Generator) -> ArmData:
     """Draw whole observations with replacement; any output size is fine."""
     gen = as_generator(rng)
     idx = gen.integers(0, model.n_source, size=n_out)
-    obs = model.source.observations
-    return ArmData(model.label, tuple(obs[i] for i in idx))
+    source = model.source
+    return arm_from_arrays(model.label, source.times()[idx], source.statuses()[idx])
 
 
 def conditional_bootstrap(
@@ -304,41 +295,39 @@ def conditional_bootstrap(
     The largest observation's latent partner equals its own time, and a
     tie resolves to censored: if it is censored it stays censored at its
     own time, and if it is an event it comes out censored at its own time
-    whenever that time is redrawn for it.
+    whenever that time is redrawn for it. An event row with no censoring
+    mass beyond its own time shares that partner, the largest observed
+    time; in an arm with no censored subject every partner is ``+inf``.
     """
     gen = as_generator(rng)
     if n_out != model.n_source:
         raise SizeMismatchError(
             f"conditional bootstrap must keep the source size {model.n_source}, got {n_out}"
         )
-    source = model.source
-    t = source.times()
-    s = source.statuses()
-    n = t.size
+    t = model.source.times()
+    s = model.source.statuses()
     atoms = model.ghat.atom_times
-    cum = np.cumsum(model.ghat.atom_masses)
-    total = float(cum[-1]) if cum.size else 0.0
+    cum = np.concatenate(([0.0], np.cumsum(model.ghat.atom_masses)))
     max_idx = int(np.flatnonzero(t == np.max(t))[-1])  # latest index wins ties
 
-    event_latent = np.full(n, np.nan)
-    censor_latent = np.empty(n)
-    for i in range(n):
-        if i == max_idx or s[i] == 0:
-            censor_latent[i] = t[i]
-        else:
-            lo = int(np.searchsorted(atoms, t[i], side="right"))
-            below = float(cum[lo - 1]) if lo > 0 else 0.0
-            tail = total - below
-            if lo >= atoms.size or tail <= 0.0:
-                # no conditional mass left beyond t[i]
-                censor_latent[i] = float(atoms[-1]) if atoms.size else np.inf
-            else:
-                target = below + gen.random() * tail
-                j = int(np.searchsorted(cum, target, side="left"))
-                censor_latent[i] = float(atoms[min(max(j, lo), atoms.size - 1)])
+    # censored rows and the largest row keep their own time as partner
+    censor_latent = t.copy()
+    partnered = s == 1
+    partnered[max_idx] = False
+    lo = np.searchsorted(atoms, t[partnered], side="right")
+    below = cum[lo]
+    tail = cum[-1] - below
+    draw = (lo < atoms.size) & (tail > 0.0)
+    # no censoring mass left beyond t[i]: the partner is the largest time
+    partner = np.full(lo.size, float(t[max_idx]) if atoms.size else np.inf)
+    target = below[draw] + gen.random(int(np.count_nonzero(draw))) * tail[draw]
+    j = np.searchsorted(cum[1:], target, side="left")
+    partner[draw] = atoms[np.minimum(np.maximum(j, lo[draw]), atoms.size - 1)]
+    censor_latent[partnered] = partner
+
+    event_latent = np.full(t.size, np.nan)
     if s[max_idx] == 0:
         event_latent[max_idx] = t[max_idx]
-
     pool = t[s == 1]
     to_draw = np.isnan(event_latent)
     n_draw = int(np.count_nonzero(to_draw))
@@ -353,9 +342,11 @@ def simulate(model: ArmModel, n_out: int, rng: RandomStream | np.random.Generato
         raise SizeMismatchError(f"n_out must be >= 1, got {n_out}")
     gen = as_generator(rng)
     if model.engine == "parametric":
-        return _simulate_parametric(model, n_out, gen)
+        fits = (model.event_fit, model.censoring_fit)
+        return _simulate_independent(model.label, _positive_draws, *fits, n_out, gen)
     if model.engine == "kde":
-        return _simulate_kde(model, n_out, gen)
+        kdes = (model.event_kde, model.censoring_kde)
+        return _simulate_independent(model.label, kde_sample, *kdes, n_out, gen)
     if model.engine == "case-resampling":
         return case_resample(model, n_out, gen)
     if model.engine == "conditional-bootstrap":

@@ -84,34 +84,22 @@ class _EventTable:
     d0: np.ndarray  # events, second arm
 
 
-def _at_risk(sorted_times: np.ndarray, at_times: np.ndarray) -> np.ndarray:
-    return sorted_times.size - np.searchsorted(sorted_times, at_times, side="left")
-
-
-def _event_counts(times: np.ndarray, status: np.ndarray, at_times: np.ndarray) -> np.ndarray:
-    ev, counts = np.unique(times[status == 1], return_counts=True)
-    out = np.zeros(at_times.size, dtype=float)
-    if ev.size == 0:
-        return out
-    idx = np.searchsorted(ev, at_times)
-    hit = (idx < ev.size) & (ev[np.minimum(idx, ev.size - 1)] == at_times)
-    out[hit] = counts[idx[hit]]
-    return out
+def _arm_counts(times: np.ndarray, status: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, ...]:
+    """At-risk and event counts of one arm at each of the times `at`."""
+    at_risk = times.size - np.searchsorted(np.sort(times), at, side="left")
+    events = np.sort(times[status == 1])
+    hits = np.searchsorted(events, at, side="right") - np.searchsorted(events, at, side="left")
+    return at_risk.astype(float), hits.astype(float)
 
 
 def _build_event_table(dataset: StudyDataset) -> _EventTable:
-    arm1, arm2 = dataset.arms
-    t1, s1 = arm1.times(), arm1.statuses()
-    t2, s2 = arm2.times(), arm2.statuses()
+    (t1, s1), (t2, s2) = ((arm.times(), arm.statuses()) for arm in dataset.arms)
     pooled_events = np.unique(np.concatenate([t1[s1 == 1], t2[s2 == 1]]))
     if pooled_events.size == 0:
         raise DegenerateTestError("dataset has no events")
-    return _EventTable(
-        n1=_at_risk(np.sort(t1), pooled_events).astype(float),
-        n0=_at_risk(np.sort(t2), pooled_events).astype(float),
-        d1=_event_counts(t1, s1, pooled_events),
-        d0=_event_counts(t2, s2, pooled_events),
-    )
+    n1, d1 = _arm_counts(t1, s1, pooled_events)
+    n0, d0 = _arm_counts(t2, s2, pooled_events)
+    return _EventTable(n1=n1, n0=n0, d1=d1, d0=d0)
 
 
 def logrank_test(dataset: StudyDataset) -> LogrankResult:
@@ -144,8 +132,10 @@ def _cox_terms(tab: _EventTable, ties: str) -> tuple[np.ndarray, ...]:
         f0 = np.zeros(d.size)
         weights = d
     elif ties == "efron":
+        # row r of event time i gets the correction (r - start_i) / d_i
         reps = d.astype(int)
-        fracs = np.concatenate([np.arange(k) / k for k in reps])
+        starts = np.cumsum(reps) - reps
+        fracs = (np.arange(reps.sum()) - np.repeat(starts, reps)) / np.repeat(reps, reps)
         n1 = np.repeat(tab.n1, reps)
         n0 = np.repeat(tab.n0, reps)
         f1 = np.repeat(tab.d1, reps)
@@ -217,12 +207,9 @@ def cox_hazard_ratio(dataset: StudyDataset, ties: str = "efron") -> CoxResult:
 
 
 def _arm_max_is_censored(arm: ArmData) -> bool:
-    times = arm.times()
-    status = arm.statuses()
-    max_event = float(np.max(times[status == 1])) if np.any(status == 1) else -math.inf
-    max_censor = float(np.max(times[status == 0])) if np.any(status == 0) else -math.inf
     # a censored subject recorded at the shared maximum is still at risk there
-    return max_censor >= max_event and max_censor > -math.inf
+    censored = arm.statuses() == 0
+    return bool(censored.any() and arm.times()[censored].max() == arm.times().max())
 
 
 def rmst_tau(dataset: StudyDataset) -> float:
@@ -232,30 +219,21 @@ def rmst_tau(dataset: StudyDataset) -> float:
     the largest censoring time in the whole dataset is used, falling back
     to the overall maximum time when nothing is censored.
     """
-    arm1, arm2 = dataset.arms
-    c1 = _arm_max_is_censored(arm1)
-    c2 = _arm_max_is_censored(arm2)
-    if c1 and c2:
-        return min(float(np.max(arm1.times())), float(np.max(arm2.times())))
-    censored_times = [
-        o.time for arm in dataset.arms for o in arm.observations if o.status == 0
-    ]
-    if censored_times:
-        return max(censored_times)
-    return max(float(np.max(arm1.times())), float(np.max(arm2.times())))
+    arm_max = [float(np.max(arm.times())) for arm in dataset.arms]
+    if all(_arm_max_is_censored(arm) for arm in dataset.arms):
+        return min(arm_max)
+    censored_times = np.concatenate([arm.times()[arm.statuses() == 0] for arm in dataset.arms])
+    if censored_times.size:
+        return float(np.max(censored_times))
+    return max(arm_max)
 
 
 def rmst_from_curve(curve: KmCurve, tau: float) -> float:
-    area = 0.0
-    prev_time = 0.0
-    prev_surv = 1.0
-    for step in curve.steps:
-        if step.time >= tau:
-            break
-        area += prev_surv * (step.time - prev_time)
-        prev_time, prev_surv = step.time, step.survival
-    area += prev_surv * (tau - prev_time)
-    return area
+    # rectangles of the steps before tau, summed left to right
+    k = int(np.searchsorted(curve.time, tau, side="left"))
+    edges = np.concatenate(([0.0], curve.time[:k], [tau]))
+    heights = np.concatenate(([1.0], curve.survival[:k]))
+    return float(np.cumsum(heights * np.diff(edges))[-1])
 
 
 def rmst(arm: ArmData, tau: float) -> float:
@@ -286,7 +264,10 @@ def evaluate_dataset(dataset: StudyDataset) -> EvaluationResult:
         statistic, p_value = lr.statistic, lr.p_value
     except DegenerateTestError:
         statistic, p_value = None, None
-    cox = cox_hazard_ratio(dataset)
+    try:
+        hazard_ratio = cox_hazard_ratio(dataset).hazard_ratio
+    except DegenerateTestError:
+        hazard_ratio = None
     medians = {
         arm.label: median_survival(km_estimate(arm)) for arm in dataset.arms
     }
@@ -294,7 +275,7 @@ def evaluate_dataset(dataset: StudyDataset) -> EvaluationResult:
     return EvaluationResult(
         logrank_statistic=statistic,
         logrank_p=p_value,
-        hazard_ratio=cox.hazard_ratio,
+        hazard_ratio=hazard_ratio,
         medians=medians,
         tau=tau,
         rmstd=rmstd(dataset, tau),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ArmData, Observation, ParseError, StudyDataset, km_estimate
+from .core import ArmData, ParseError, StudyDataset, arm_from_arrays, km_estimate
 
 ITERATION_CAP = 1000
 
@@ -292,15 +292,12 @@ def reconstruct_arm(
     # everyone still at risk leaves the study at the end of follow-up
     censor_times.extend([t_end_time] * result.n_end)
 
-    observations: list[Observation] = []
-    for t, d in zip(event_times, event_counts):
-        observations.extend(Observation(t, 1) for _ in range(d))
-    observations.extend(Observation(t, 0) for t in censor_times)
-    observations.sort(key=lambda o: (o.time, -o.status))
-    rebuilt = ArmData(arm.label, tuple(observations))
+    times = np.concatenate((np.repeat(np.array(event_times, float), event_counts), censor_times))
+    status = np.repeat((1, 0), (sum(event_counts), len(censor_times)))
+    order = np.lexsort((-status, times))  # by time, events first
+    rebuilt = arm_from_arrays(arm.label, times[order], status[order])
 
     achieved_events = int(sum(event_counts))
-    times = rebuilt.times()
     risk_rows = [
         (t, n, int(np.count_nonzero(times >= t))) for t, n in risk
     ]

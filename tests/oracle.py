@@ -1,0 +1,128 @@
+"""Loop implementations that the columnar code replaced, kept as a reference.
+
+Each function repeats the per-step or per-subject loop the package used to
+run, working on plain Python values. ``test_parity.py`` requires the
+package to agree with them exactly, so a rewrite that reorders arithmetic or
+random draws shows up as a failure rather than as a drift in the last digit.
+"""
+
+from __future__ import annotations
+
+import csv
+
+import numpy as np
+
+from survbench.core import ArmData, Observation, StudyDataset
+
+
+def km_steps(times: np.ndarray, status: np.ndarray) -> list[tuple[float, int, int, float]]:
+    """(time, at_risk, events, survival) per distinct event time."""
+    times = np.asarray(times, dtype=float)
+    status = np.asarray(status)
+    sorted_times = np.sort(times)
+    n = times.size
+    event_times, event_counts = np.unique(times[status == 1], return_counts=True)
+    steps = []
+    surv = 1.0
+    for t, d in zip(event_times, event_counts):
+        at_risk = n - int(np.searchsorted(sorted_times, t, side="left"))
+        surv *= 1.0 - float(d) / at_risk
+        steps.append((float(t), at_risk, int(d), surv))
+    return steps
+
+
+def median_survival(steps) -> float | None:
+    for t, _, _, surv in steps:
+        if surv <= 0.5:
+            return t
+    return None
+
+
+def rmst_from_steps(steps, tau: float) -> float:
+    area = 0.0
+    prev_time = 0.0
+    prev_surv = 1.0
+    for t, _, _, surv in steps:
+        if t >= tau:
+            break
+        area += prev_surv * (t - prev_time)
+        prev_time, prev_surv = t, surv
+    area += prev_surv * (tau - prev_time)
+    return area
+
+
+def _arm_max_is_censored(arm: ArmData) -> bool:
+    event = [o.time for o in arm.observations if o.status == 1]
+    censored = [o.time for o in arm.observations if o.status == 0]
+    return bool(censored) and max(censored) >= max(event, default=-np.inf)
+
+
+def rmst_tau(dataset: StudyDataset) -> float:
+    arm1, arm2 = dataset.arms
+    if _arm_max_is_censored(arm1) and _arm_max_is_censored(arm2):
+        return min(max(o.time for o in arm1.observations), max(o.time for o in arm2.observations))
+    censored_times = [o.time for arm in dataset.arms for o in arm.observations if o.status == 0]
+    if censored_times:
+        return max(censored_times)
+    return max(o.time for arm in dataset.arms for o in arm.observations)
+
+
+def efron_fracs(d: np.ndarray) -> np.ndarray:
+    """The Efron correction steps 0, 1/k, ..., (k-1)/k of each tied group."""
+    return np.concatenate([np.arange(k) / k for k in d.astype(int)])
+
+
+def case_resample(source: ArmData, n_out: int, gen: np.random.Generator) -> tuple[Observation, ...]:
+    idx = gen.integers(0, len(source), size=n_out)
+    obs = source.observations
+    return tuple(obs[i] for i in idx)
+
+
+def conditional_bootstrap(
+    source: ArmData, atoms: np.ndarray, masses: np.ndarray, gen: np.random.Generator
+) -> list[tuple[float, int]]:
+    """The per-subject loop, given the censoring-distribution atoms and masses.
+
+    An event row with no censoring mass left beyond its own time gets the
+    arm's largest observed time as partner (``+inf`` when the arm has no
+    censored subject), like the largest row itself.
+    """
+    t = source.times()
+    s = source.statuses()
+    n = t.size
+    cum = np.cumsum(masses)
+    total = float(cum[-1]) if cum.size else 0.0
+    max_idx = int(np.flatnonzero(t == np.max(t))[-1])
+    event_latent = [None] * n
+    censor_latent = [0.0] * n
+    for i in range(n):
+        if i == max_idx or s[i] == 0:
+            censor_latent[i] = float(t[i])
+        else:
+            lo = int(np.searchsorted(atoms, t[i], side="right"))
+            below = float(cum[lo - 1]) if lo > 0 else 0.0
+            tail = total - below
+            if lo >= atoms.size or tail <= 0.0:
+                censor_latent[i] = float(np.max(t)) if atoms.size else np.inf
+            else:
+                target = below + gen.random() * tail
+                j = int(np.searchsorted(cum, target, side="left"))
+                censor_latent[i] = float(atoms[min(max(j, lo), atoms.size - 1)])
+    if s[max_idx] == 0:
+        event_latent[max_idx] = float(t[max_idx])
+    pool = t[s == 1]
+    to_draw = [i for i in range(n) if event_latent[i] is None]
+    for i, k in zip(to_draw, gen.integers(0, pool.size, size=len(to_draw))):
+        event_latent[i] = float(pool[k])
+    return [
+        (e, 1) if e < c else (c, 0) for e, c in zip(event_latent, censor_latent)
+    ]
+
+
+def store_dataset(dataset: StudyDataset, path: str) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("arm", "time", "status"))
+        for arm in dataset.arms:
+            for obs in arm.observations:
+                writer.writerow([arm.label, repr(obs.time), obs.status])

@@ -404,6 +404,17 @@ class TestConditionalBootstrap:
             seen.add((o.time, o.status))
         assert seen == {(2.0, 1), (6.0, 0)}
 
+    def test_event_row_past_the_last_censoring_keeps_its_place(self):
+        # the only censoring atom (1.0) lies before the row at 2.0; its
+        # partner is the largest time 3.0, so it stays an event or ties
+        # the largest time, and never moves back to 1.0
+        model = build_model("condboot", arm_of([(1.0, 0), (2.0, 1), (3.0, 1)]))
+        seen = set()
+        for i in range(200):
+            o = conditional_bootstrap(model, 3, RandomStream(400, i)).observations[1]
+            seen.add((o.time, o.status))
+        assert seen == {(2.0, 1), (3.0, 0)}
+
     def test_output_size_is_pinned_to_source_size(self):
         model = build_model("condboot", arm_of([(1.0, 1), (4.0, 0)]))
         with pytest.raises(SizeMismatchError, match="source size 2, got 3"):

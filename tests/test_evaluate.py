@@ -369,6 +369,14 @@ class TestEvaluateDataset:
         assert res.logrank_statistic is None
         assert res.rmstd is not None
 
+    def test_study_without_events_leaves_every_test_absent(self):
+        res = evaluate_dataset(study([(1.0, 0), (3.0, 0)], [(2.0, 0), (2.5, 0)]))
+        assert res.logrank_p is None
+        assert res.hazard_ratio is None
+        assert res.medians == {"A": None, "B": None}
+        assert res.tau == 2.5
+        assert res.rmstd == 0.0
+
     def test_deterministic(self):
         ds = synth_study(4)
         assert evaluate_dataset(ds) == evaluate_dataset(ds)

@@ -62,10 +62,10 @@ class TestExactRoundTrip:
         assert len(rebuilt) == len(source)
         src_curve = km_estimate(source)
         out_curve = km_estimate(rebuilt)
-        assert out_curve.times().tolist() == src_curve.times().tolist()
+        assert out_curve.time.tolist() == src_curve.time.tolist()
         assert [s.at_risk for s in out_curve.steps] == [s.at_risk for s in src_curve.steps]
         assert [s.events for s in out_curve.steps] == [s.events for s in src_curve.steps]
-        assert np.max(np.abs(out_curve.survivals() - src_curve.survivals())) <= 1e-12
+        assert np.max(np.abs(out_curve.survival - src_curve.survival)) <= 1e-12
         assert report.converged
         assert report.max_survival_deviation <= 1e-12
         assert report.achieved_total_events == int(source.statuses().sum())
@@ -104,7 +104,7 @@ class TestGridReconstruction:
         out = km_estimate(rebuilt)
         return max(
             abs(out.survival_at(t) - step.survival)
-            for t, step in zip(src_curve.times(), src_curve.steps)
+            for t, step in zip(src_curve.time, src_curve.steps)
         )
 
     # Coarsening is not monotone in general, so this holds only for a
