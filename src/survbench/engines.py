@@ -40,6 +40,11 @@ _ENGINE_ALIASES = {
 }
 
 KDE_GRID_POINTS = 1024
+# kernel terms evaluated at once. Each temporary of a row block of the
+# (points x support) matrix is then 125 KB: it stays in cache, and below
+# glibc's default 128 KB mmap threshold, so it is not mapped afresh (and
+# page-faulted in) on every call
+KDE_BLOCK_TERMS = 16_000
 KDE_ENVELOPE_SAFETY = 1.01
 STALL_PROPOSALS = 10_000_000
 STALL_ACCEPT_RATE = 1e-6
@@ -89,12 +94,22 @@ class KdeDensity:
     upper: float
     envelope: float
 
+    @property
+    def row_block(self) -> int:
+        """Points per block of the kernel matrix, at least one."""
+        return max(1, KDE_BLOCK_TERMS // self.support.size)
+
     def density(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        z = (x[:, None] - self.support[None, :]) / self.bandwidth
-        return np.exp(-0.5 * z * z).sum(axis=1) / (
-            self.support.size * self.bandwidth * math.sqrt(2.0 * math.pi)
-        )
+        scale = self.support.size * self.bandwidth * math.sqrt(2.0 * math.pi)
+        out = np.empty(x.size)
+        step = self.row_block
+        # each row's sum is the same whatever the block, so blocking keeps every bit
+        for start in range(0, x.size, step):
+            rows = slice(start, start + step)
+            z = (x[rows, None] - self.support[None, :]) / self.bandwidth
+            out[rows] = np.exp(-0.5 * z * z).sum(axis=1) / scale
+        return out
 
 
 def silverman_bandwidth(sample_values: np.ndarray) -> float:
@@ -129,7 +144,14 @@ def kde_fit(sample_values, bandwidth: float | None = None) -> KdeDensity:
 
 
 def kde_sample(kde: KdeDensity, n: int, rng: RandomStream | np.random.Generator) -> np.ndarray:
-    """Rejection sampling under the flat envelope over the domain."""
+    """Rejection sampling under the flat envelope over the domain.
+
+    Each block of proposals is drawn whole, so the random stream advances
+    the same way however soon the sample fills. The density is evaluated in
+    proposal order, about as many proposals at a time as the rest of the
+    sample should need (at least one row block), and the proposals after
+    the last acceptance the sample needs are never evaluated.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     gen = as_generator(rng)
@@ -143,12 +165,19 @@ def kde_sample(kde: KdeDensity, n: int, rng: RandomStream | np.random.Generator)
         block = int(min(65536, max(1024, math.ceil((n - filled) / accept_estimate))))
         xs = kde.lower + width * gen.random(block)
         us = gen.random(block)
-        keep = xs[us * kde.envelope < kde.density(xs)]
-        take = min(n - filled, keep.size)
-        out[filled : filled + take] = keep[:take]
-        filled += take
+        start = 0
+        while start < block:
+            # as many proposals as the rest of the sample should need, at least a row block
+            stop = start + max(kde.row_block, math.ceil((n - filled) / accept_estimate))
+            keep = xs[start:stop][us[start:stop] * kde.envelope < kde.density(xs[start:stop])]
+            take = min(n - filled, keep.size)
+            out[filled : filled + take] = keep[:take]
+            filled += take
+            accepted += keep.size
+            if filled == n:
+                return out
+            start = stop
         proposed += block
-        accepted += keep.size
         if proposed >= STALL_PROPOSALS and accepted / proposed < STALL_ACCEPT_RATE:
             raise SamplerStallError(
                 f"acceptance rate {accepted / proposed:.2e} after {proposed} proposals"
@@ -238,10 +267,10 @@ def model_summary(model: ArmModel) -> dict:
         out["event"] = model.event_fit.to_json() if model.event_fit else None
         out["censoring"] = model.censoring_fit.to_json() if model.censoring_fit else None
     elif model.engine == "kde":
-        out["event_bandwidth"] = model.event_kde.bandwidth if model.event_kde else None
-        out["censoring_bandwidth"] = (
-            model.censoring_kde.bandwidth if model.censoring_kde else None
-        )
+        for side, kde in (("event", model.event_kde), ("censoring", model.censoring_kde)):
+            out[f"{side}_bandwidth"] = kde.bandwidth if kde else None
+            out[f"{side}_envelope"] = kde.envelope if kde else None
+            out[f"{side}_domain"] = [kde.lower, kde.upper] if kde else None
     return out
 
 

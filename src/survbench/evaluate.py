@@ -47,7 +47,7 @@ class EvaluationResult:
     hazard_ratio: float | None
     medians: dict[str, float | None]
     tau: float
-    rmstd: float
+    rmstd: float | None
     tie_ratio: float
 
     def to_json(self) -> dict:
@@ -69,7 +69,7 @@ class EvaluationResult:
             hazard_ratio=raw["hazard_ratio"],
             medians=dict(raw["medians"]),
             tau=float(raw["tau"]),
-            rmstd=float(raw["rmstd"]),
+            rmstd=None if raw["rmstd"] is None else float(raw["rmstd"]),
             tie_ratio=float(raw["tie_ratio"]),
         )
 
@@ -278,7 +278,8 @@ def evaluate_dataset(dataset: StudyDataset) -> EvaluationResult:
         hazard_ratio=hazard_ratio,
         medians=medians,
         tau=tau,
-        rmstd=rmstd(dataset, tau),
+        # tau is 0 when, e.g., the only censored time is 0: no area to compare
+        rmstd=rmstd(dataset, tau) if tau > 0.0 else None,
         tie_ratio=tie_ratio(dataset),
     )
 

@@ -1,14 +1,17 @@
-"""Loop implementations that the columnar code replaced, kept as a reference.
+"""Implementations that the package replaced, kept as a reference.
 
-Each function repeats the per-step or per-subject loop the package used to
-run, working on plain Python values. ``test_parity.py`` requires the
-package to agree with them exactly, so a rewrite that reorders arithmetic or
-random draws shows up as a failure rather than as a drift in the last digit.
+Most functions repeat the per-step or per-subject loop the package used to
+run, working on plain Python values; the kde functions evaluate the whole
+kernel matrix of a proposal block at once, as the sampler used to.
+``test_parity.py`` requires the package to agree with them exactly, so a
+rewrite that reorders arithmetic or random draws shows up as a failure
+rather than as a drift in the last digit.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -117,6 +120,38 @@ def conditional_bootstrap(
     return [
         (e, 1) if e < c else (c, 0) for e, c in zip(event_latent, censor_latent)
     ]
+
+
+def kde_density(kde, x) -> np.ndarray:
+    """The kernel matrix of every point against the whole support at once."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    z = (x[:, None] - kde.support[None, :]) / kde.bandwidth
+    return np.exp(-0.5 * z * z).sum(axis=1) / (
+        kde.support.size * kde.bandwidth * math.sqrt(2.0 * math.pi)
+    )
+
+
+def kde_sample(kde, n: int, gen: np.random.Generator) -> np.ndarray:
+    """Accept-reject that evaluates the density on every proposal of a block."""
+    out = np.empty(n, dtype=float)
+    filled = 0
+    proposed = 0
+    accepted = 0
+    width = kde.upper - kde.lower
+    accept_estimate = max(1.0 / (kde.envelope * width), 1e-3)
+    while filled < n:
+        block = int(min(65536, max(1024, math.ceil((n - filled) / accept_estimate))))
+        xs = kde.lower + width * gen.random(block)
+        us = gen.random(block)
+        keep = xs[us * kde.envelope < kde_density(kde, xs)]
+        take = min(n - filled, keep.size)
+        out[filled : filled + take] = keep[:take]
+        filled += take
+        proposed += block
+        accepted += keep.size
+        if accepted > 0:
+            accept_estimate = max(accepted / proposed, 1e-3)
+    return out
 
 
 def store_dataset(dataset: StudyDataset, path: str) -> None:

@@ -37,12 +37,15 @@ from survbench.reconstruct import reconstruct_study
 from helpers import corpus_study, digitize_exact, digitize_study, synth_study
 
 
-def verdict(number: int, name: str, started: float, budget: float, problems: list[str]) -> None:
+def verdict(
+    number: int, name: str, started: float, budget: float, problems: list[str], note: str = ""
+) -> None:
     elapsed = time.perf_counter() - started
     if elapsed >= budget:
         problems = problems + [f"runtime {elapsed:.1f}s exceeds the {budget:.0f}s budget"]
     status = "PASS" if not problems else "FAIL"
-    print(f"[criterion {number}] {name}: {status} ({elapsed:.1f}s, budget {budget:.0f}s)")
+    note = f"; {note}" if note else ""
+    print(f"[criterion {number}] {name}: {status} ({elapsed:.1f}s, budget {budget:.0f}s{note})")
     assert not problems, f"criterion {number} ({name}): " + "; ".join(problems)
 
 
@@ -220,7 +223,10 @@ def test_criterion_5_runtime_ordering():
     if ratio < 10.0:
         problems.append(f"kde median runtime is only {ratio:.1f}x case-resampling (need >= 10x)")
 
-    verdict(5, "runtime ordering across engines", started, 120.0, problems)
+    verdict(
+        5, "runtime ordering across engines", started, 120.0, problems,
+        note=f"kde/case median runtime {ratio:.1f}x, need >= 10x",
+    )
 
 
 def test_criterion_6_distributional_correctness():

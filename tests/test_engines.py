@@ -12,6 +12,7 @@ from survbench.engines import (
     ENGINE_KINDS,
     ArmModel,
     BandwidthError,
+    KdeDensity,
     ModelBuildError,
     SamplerStallError,
     SizeMismatchError,
@@ -169,6 +170,30 @@ class TestKdeSample:
         with pytest.raises(ValueError):
             kde_sample(kde, -1, RandomStream(1, 0))
 
+    def test_sampler_stops_at_the_last_acceptance_it_needs(self, monkeypatch):
+        kde = build_model("kde", synth_study(50, n=150).arms[0]).event_kde
+        evaluated = []
+        density = KdeDensity.density
+
+        def counting_density(self, x):
+            evaluated.append(np.atleast_1d(x).size)
+            return density(self, x)
+
+        class CountingGenerator:
+            def __init__(self, gen):
+                self.gen = gen
+                self.drawn = 0
+
+            def random(self, size):
+                self.drawn += size
+                return self.gen.random(size)
+
+        monkeypatch.setattr(KdeDensity, "density", counting_density)
+        gen = CountingGenerator(RandomStream(3, 0).generator)
+        assert kde_sample(kde, 150, gen).size == 150
+        proposed = gen.drawn // 2  # a position and a uniform per proposal
+        assert 0 < sum(evaluated) < proposed
+
     def test_stall_guard_trips_on_hopeless_envelope(self):
         kde = kde_fit([1.0, 2.0])
         kde.envelope = 1e12  # acceptance probability ~1e-12
@@ -288,10 +313,24 @@ class TestModelSummary:
 
     def test_kde_summary_reports_bandwidths(self):
         arm = synth_study(3, n=80).arms[0]
-        out = model_summary(build_model("kde", arm))
+        model = build_model("kde", arm)
+        out = model_summary(model)
         json.dumps(out)
         assert out["event_bandwidth"] > 0.0
         assert out["censoring_bandwidth"] > 0.0
+        for side, kde in (("event", model.event_kde), ("censoring", model.censoring_kde)):
+            assert out[f"{side}_envelope"] == kde.envelope
+            assert out[f"{side}_envelope"] >= float(np.max(kde.density(np.linspace(kde.lower, kde.upper, 1024))))
+            assert out[f"{side}_domain"] == [kde.lower, kde.upper]
+            assert 0.0 <= kde.lower < kde.upper
+
+    def test_kde_summary_without_censoring(self):
+        out = model_summary(build_model("kde", arm_of([(1.0, 1), (2.0, 1), (4.0, 1)])))
+        json.dumps(out)
+        assert out["event_envelope"] > 0.0
+        assert out["censoring_bandwidth"] is None
+        assert out["censoring_envelope"] is None
+        assert out["censoring_domain"] is None
 
     def test_resampling_summaries_are_minimal(self):
         arm = synth_study(3, n=30).arms[0]

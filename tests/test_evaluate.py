@@ -377,6 +377,16 @@ class TestEvaluateDataset:
         assert res.tau == 2.5
         assert res.rmstd == 0.0
 
+    def test_study_censored_only_at_zero_leaves_rmstd_absent(self, tmp_path):
+        # the only censored time is 0 and arm A's maximum is an event, so tau = 0
+        res = evaluate_dataset(study([(0.0, 0), (2.0, 1)], [(0.0, 1), (1.0, 1)]))
+        assert res.tau == 0.0
+        assert res.rmstd is None
+        assert res.logrank_p is not None
+        path = tmp_path / "eval.json"
+        store_evaluation(res, str(path))
+        assert load_evaluation(str(path)) == res
+
     def test_deterministic(self):
         ds = synth_study(4)
         assert evaluate_dataset(ds) == evaluate_dataset(ds)

@@ -197,6 +197,16 @@ class TestRunBenchmark:
             assert res.diffs.values[key] == []
         assert len(res.diffs.series("s3", "case-resampling", "logrank_p")) == 4
 
+    def test_study_censored_only_at_zero_runs_with_rmstd_undefined(self):
+        # tau is 0 for this study and for many of its case resamples
+        a = ArmData("A", (Observation(0.0, 0), Observation(2.0, 1)))
+        b = ArmData("B", (Observation(0.0, 1), Observation(1.0, 1)))
+        dataset = StudyDataset((a, b))
+        metadata = StudyMetadata("zero", 0.5, None, {"A": None, "B": None}, "non-crossing")
+        record = StudyRecord(dataset, metadata, evaluate_dataset(dataset))
+        res = run_benchmark(BenchmarkConfig([record], ["case"], iterations=20, base_seed=3))
+        assert res.diffs.undefined[("zero", "case-resampling", "rmstd")] == 20
+
     def test_unbuildable_pair_is_skipped_not_fatal(self):
         dataset = all_censored_study()
         metadata = StudyMetadata("dead", 0.5, None, {"A": None, "B": None}, "non-crossing")

@@ -1,4 +1,4 @@
-"""The columnar code against the loop implementations it replaced (oracle.py).
+"""The package against the implementations it replaced (oracle.py).
 
 Equality is exact: the rewrite keeps the order of every multiplication,
 sum and random draw, so any difference is a defect, not rounding.
@@ -6,9 +6,11 @@ sum and random draw, so any difference is a defect, not rounding.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import oracle
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from survbench.core import (
@@ -19,7 +21,14 @@ from survbench.core import (
     median_survival,
     store_dataset,
 )
-from survbench.engines import build_model, case_resample, conditional_bootstrap
+from survbench.engines import (
+    build_model,
+    case_resample,
+    conditional_bootstrap,
+    kde_fit,
+    kde_sample,
+    silverman_bandwidth,
+)
 from survbench.evaluate import (
     _build_event_table,
     _cox_terms,
@@ -42,6 +51,21 @@ def arm_columns(draw):
     else:
         status = [int(mode == "all-event")] * n
     return np.array(times, dtype=float), np.array(status, dtype=np.int64)
+
+
+# kde supports: ties from the grid, times just above 0, and a continuum
+_near_zero_time = st.floats(1e-9, 1e-3) | st.just(0.0)
+
+
+@st.composite
+def kde_supports(draw):
+    size = draw(st.integers(2, 700))
+    pool = draw(st.lists(st.one_of(_grid_time, _near_zero_time, _free_time), min_size=2, max_size=40))
+    picks = np.random.default_rng(draw(st.integers(0, 2**32))).integers(0, len(pool), size)
+    support = np.array(pool, dtype=float)[picks]
+    # all-equal supports have no bandwidth, and one that underflows is no estimate
+    assume(support.min() < support.max() and silverman_bandwidth(support) > 1e-12)
+    return support
 
 
 @st.composite
@@ -123,3 +147,36 @@ def test_stored_bytes_match_the_loop(tmp_path_factory, dataset):
     oracle.store_dataset(dataset, str(folder / "old.csv"))
     assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
 
+
+@settings(deadline=None, max_examples=60)
+@given(kde_supports(), st.integers(1, 3), st.integers(0, 2**32))
+def test_kde_density_matches_the_whole_matrix(support, blocks, seed):
+    kde = kde_fit(support)
+    points = blocks * kde.row_block + seed % kde.row_block  # a partial last block on most seeds
+    grid = np.random.default_rng(seed).uniform(kde.lower - kde.bandwidth, kde.upper, points)
+    assert np.array_equal(kde.density(grid), oracle.kde_density(kde, grid))
+
+
+@st.composite
+def kde_sample_sizes(draw, kde):
+    # up to three times what one 1024-proposal block yields at the rate the
+    # flat envelope promises; a tight cluster in a wide domain makes that
+    # rate tiny and would need millions of proposals
+    rate = 1.0 / (kde.envelope * (kde.upper - kde.lower))
+    assume(rate > 0.01)
+    return draw(st.integers(0, math.ceil(3.0 * 1024 * rate)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(kde_supports().map(kde_fit).flatmap(lambda kde: st.tuples(st.just(kde), kde_sample_sizes(kde))),
+       st.integers(0, 2**32))
+# 300 draws of this support fill the first (1024-proposal) block on seed 0
+# and need a second block on seed 7
+@example((kde_fit([0.0, 0.0, 1.0, 2.0, 7.5]), 300), 0)
+@example((kde_fit([0.0, 0.0, 1.0, 2.0, 7.5]), 300), 7)
+def test_kde_sample_matches_the_whole_block(kde_and_n, seed):
+    kde, n = kde_and_n
+    new_stream = RandomStream(seed, 4).generator
+    old_stream = RandomStream(seed, 4).generator
+    assert np.array_equal(kde_sample(kde, n, new_stream), oracle.kde_sample(kde, n, old_stream))
+    assert new_stream.random() == old_stream.random()
