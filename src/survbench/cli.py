@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .core import RandomStream, StudyDataset, load_dataset, store_dataset
 from .engines import build_model, model_summary, simulate
@@ -77,11 +78,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    config.output_dir = args.out
+def _cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    config = replace(load_config(args.config), output_dir=args.out)
     if args.iterations is not None:
-        config.iterations = args.iterations
+        try:
+            config = replace(config, iterations=args.iterations)
+        except ValueError as exc:
+            parser.error(f"--iterations: {exc}")
     result = run_benchmark(config)
     print(
         f"{config.iterations} iterations x {len(config.studies)} studies x "
@@ -135,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "evaluate":
         return _cmd_evaluate(args)
     if args.command == "bench":
-        return _cmd_bench(args)
+        return _cmd_bench(parser, args)
     parser.error(f"unknown command {args.command!r}")
     return 2
 

@@ -267,8 +267,8 @@ def _mixture_start(x: np.ndarray) -> tuple[float, float, float, float]:
     return wshape, wscale, nmean, nsd
 
 
-def _fit_inverse_gamma(x: np.ndarray) -> tuple[tuple[float, float], bool]:
-    """Newton-Raphson on the profiled shape score, damped for stability."""
+def _fit_inverse_gamma(x: np.ndarray, start: tuple[float, float]) -> tuple[tuple[float, float], bool]:
+    """Newton-Raphson on the profiled shape score from the moment start's shape, damped."""
     m1 = float(np.mean(1.0 / x))
     mlog = float(np.mean(np.log(x)))
     rhs = math.log(m1) + mlog
@@ -278,7 +278,7 @@ def _fit_inverse_gamma(x: np.ndarray) -> tuple[tuple[float, float], bool]:
     def score(a: float) -> float:
         return math.log(a) - float(digamma(a)) - rhs
 
-    alpha = max(float(np.mean(x)) ** 2 / max(float(np.var(x)), 1e-300) + 2.0, 1e-2)
+    alpha = start[0]
     g = score(alpha)
     converged = False
     for _ in range(MAX_FIT_ITERATIONS):
@@ -363,7 +363,7 @@ _FAMILIES: dict[str, _Family] = {
         quantile=lambda q, a, b: b / gammainccinv(a, q),
         start=_inverse_gamma_start,
         draw=lambda gen, n, a, b: b / gen.gamma(a, 1.0, size=n),
-        fit=lambda x, start: _fit_inverse_gamma(x),
+        fit=_fit_inverse_gamma,
     ),
     "log-logistic": _Family(
         ("shape", "scale"), (True, True), True,

@@ -7,6 +7,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,9 +23,9 @@ from .core import (
 from .engines import ArmModel, ModelBuildError, build_model, canonical_engine, simulate
 from .evaluate import EvaluationResult, evaluate_dataset
 
-DIFF_METRICS = ("logrank_p", "hazard_ratio", "median_arm1", "median_arm2", "rmstd")
-RAW_METRICS = ("tie_ratio", "logrank_statistic")
-ALL_METRICS = DIFF_METRICS + RAW_METRICS
+ALL_METRICS = (
+    "logrank_p", "hazard_ratio", "median_arm1", "median_arm2", "rmstd", "tie_ratio", "logrank_statistic"
+)
 
 
 @dataclass
@@ -83,15 +84,20 @@ class BenchmarkConfig:
 
 @dataclass
 class MetricDiffs:
-    """Per (study, engine, metric): (iteration, value) pairs plus undefined counts.
+    """Per (study, engine, metric): (iteration, value) pairs of the defined values.
 
     Diff metrics hold simulated-minus-reference values; raw metrics
     (tie_ratio, logrank_statistic) hold the simulated values themselves.
+    An iteration whose value is undefined leaves no pair.
     """
 
     iterations: int
     values: dict[tuple[str, str, str], list[tuple[int, float]]] = field(default_factory=dict)
-    undefined: dict[tuple[str, str, str], int] = field(default_factory=dict)
+
+    @property
+    def undefined(self) -> dict[tuple[str, str, str], int]:
+        """Per key, the number of iterations whose value is undefined."""
+        return {key: self.iterations - len(pairs) for key, pairs in self.values.items()}
 
     def series(self, study: str, engine: str, metric: str) -> list[float]:
         return [v for _, v in self.values.get((study, engine, metric), [])]
@@ -113,27 +119,28 @@ class BenchmarkResult:
     output_files: list[str] = field(default_factory=list)
 
 
-def _iteration_metrics(result: EvaluationResult, labels: tuple[str, str]) -> dict[str, float | None]:
-    return {
-        "logrank_p": result.logrank_p,
-        "hazard_ratio": result.hazard_ratio,
-        "median_arm1": result.medians[labels[0]],
-        "median_arm2": result.medians[labels[1]],
-        "rmstd": result.rmstd,
-        "tie_ratio": result.tie_ratio,
-        "logrank_statistic": result.logrank_statistic,
-    }
+def _iteration_values(result: EvaluationResult, record: StudyRecord) -> dict[str, float | None]:
+    """One replicate's stored value per metric, None where it is undefined.
 
-
-def _reference_values(record: StudyRecord) -> dict[str, float | None]:
+    Diff metrics are simulated minus the study's reference; raw metrics
+    have no reference and are the simulated values.
+    """
     labels = record.dataset.labels
-    return {
-        "logrank_p": record.metadata.reported_logrank_p,
-        "hazard_ratio": record.metadata.reported_hazard_ratio,
-        "median_arm1": record.metadata.reported_medians.get(labels[0]),
-        "median_arm2": record.metadata.reported_medians.get(labels[1]),
-        "rmstd": record.reference.rmstd,
+    metadata = record.metadata
+    simulated_and_reference = {
+        "logrank_p": (result.logrank_p, metadata.reported_logrank_p),
+        "hazard_ratio": (result.hazard_ratio, metadata.reported_hazard_ratio),
+        "median_arm1": (result.medians[labels[0]], metadata.reported_medians.get(labels[0])),
+        "median_arm2": (result.medians[labels[1]], metadata.reported_medians.get(labels[1])),
+        "rmstd": (result.rmstd, record.reference.rmstd),
     }
+    values = {
+        metric: None if sim is None or ref is None else sim - ref
+        for metric, (sim, ref) in simulated_and_reference.items()
+    }
+    values["tie_ratio"] = result.tie_ratio
+    values["logrank_statistic"] = result.logrank_statistic
+    return values
 
 
 def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
@@ -141,12 +148,13 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
 
     Iteration i consumes only RandomStream(base_seed, i), so the metric
     output is identical no matter how many workers split the iterations.
-    Only the simulate calls are timed, and the first iteration's time is
-    dropped as warm-up.
+    Each iteration's rows are folded into the result as they arrive, in
+    iteration order. Only the simulate calls are timed, and the first
+    iteration's time is dropped as warm-up.
     """
     started = time.perf_counter()
     skipped: list[dict] = []
-    models: dict[tuple[str, str], tuple[ArmModel, ArmModel]] = {}
+    models: dict[tuple[str, str], tuple[StudyRecord, tuple[ArmModel, ArmModel]]] = {}
     for record in config.studies:
         sid = record.metadata.study_id
         for engine in config.engines:
@@ -155,62 +163,39 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
             except ModelBuildError as exc:
                 skipped.append({"study": sid, "engine": engine, "reason": str(exc)})
                 continue
-            models[(sid, engine)] = pair  # type: ignore[assignment]
+            models[(sid, engine)] = (record, pair)  # type: ignore[assignment]
 
-    def one_iteration(i: int) -> dict[tuple[str, str], tuple[dict, float]]:
+    def one_iteration(i: int) -> list[tuple[tuple[str, str], dict[str, float | None], float]]:
+        """(pair, stored values, simulate seconds) for every modelled pair."""
         stream = RandomStream(config.base_seed, i)
-        out: dict[tuple[str, str], tuple[dict, float]] = {}
-        for record in config.studies:
-            sid = record.metadata.study_id
-            labels = record.dataset.labels
+        rows = []
+        for key, (record, pair) in models.items():
             sizes = (len(record.dataset.arms[0]), len(record.dataset.arms[1]))
-            for engine in config.engines:
-                pair = models.get((sid, engine))
-                if pair is None:
-                    continue
-                t0 = time.perf_counter_ns()
-                arm1 = simulate(pair[0], sizes[0], stream)
-                arm2 = simulate(pair[1], sizes[1], stream)
-                elapsed = (time.perf_counter_ns() - t0) / 1e9
-                result = evaluate_dataset(StudyDataset((arm1, arm2)))
-                out[(sid, engine)] = (_iteration_metrics(result, labels), elapsed)
-        return out
-
-    if config.workers == 1:
-        per_iteration = [one_iteration(i) for i in range(config.iterations)]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            per_iteration = list(pool.map(one_iteration, range(config.iterations)))
+            t0 = time.perf_counter_ns()
+            arm1 = simulate(pair[0], sizes[0], stream)
+            arm2 = simulate(pair[1], sizes[1], stream)
+            elapsed = (time.perf_counter_ns() - t0) / 1e9
+            result = evaluate_dataset(StudyDataset((arm1, arm2)))
+            rows.append((key, _iteration_values(result, record), elapsed))
+        return rows
 
     diffs = MetricDiffs(config.iterations)
     runtimes = RuntimeRecord()
-    for record in config.studies:
-        sid = record.metadata.study_id
-        refs = _reference_values(record)
-        for engine in config.engines:
-            if (sid, engine) not in models:
-                continue
-            runtimes.seconds[(sid, engine)] = []
-            for metric in ALL_METRICS:
-                diffs.values[(sid, engine, metric)] = []
-                diffs.undefined[(sid, engine, metric)] = 0
-            for i, row in enumerate(per_iteration):
-                metrics, elapsed = row[(sid, engine)]
+    for sid, engine in models:
+        runtimes.seconds[(sid, engine)] = []
+        for metric in ALL_METRICS:
+            diffs.values[(sid, engine, metric)] = []
+
+    with ThreadPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
+        results = (map if pool is None else pool.map)(one_iteration, range(config.iterations))
+        for i, rows in enumerate(results):
+            for (sid, engine), values, elapsed in rows:
                 if i > 0:
                     runtimes.seconds[(sid, engine)].append(elapsed)
-                for metric in DIFF_METRICS:
-                    sim = metrics[metric]
-                    ref = refs[metric]
-                    if sim is None or ref is None:
-                        diffs.undefined[(sid, engine, metric)] += 1
-                    else:
-                        diffs.values[(sid, engine, metric)].append((i, sim - ref))
-                for metric in RAW_METRICS:
-                    sim = metrics[metric]
-                    if sim is None:
-                        diffs.undefined[(sid, engine, metric)] += 1
-                    else:
-                        diffs.values[(sid, engine, metric)].append((i, sim))
+                for metric in ALL_METRICS:
+                    value = values[metric]
+                    if value is not None:
+                        diffs.values[(sid, engine, metric)].append((i, value))
 
     result = BenchmarkResult(diffs, runtimes, skipped, time.perf_counter() - started)
     if config.output_dir is not None:
@@ -240,6 +225,7 @@ def emit_reports(config: BenchmarkConfig, result: BenchmarkResult, outdir: str) 
         for engine in config.engines
         if (rec.metadata.study_id, engine) in result.runtimes.seconds
     ]
+    undefined = result.diffs.undefined
     for metric in ALL_METRICS:
         summary_path = os.path.join(outdir, f"summary_{metric}.csv")
         with open(summary_path, "w", newline="") as fh:
@@ -247,13 +233,12 @@ def emit_reports(config: BenchmarkConfig, result: BenchmarkResult, outdir: str) 
             writer.writerow(["study", "engine", *_SUMMARY_COLUMNS, "undefined"])
             for sid, engine in pairs:
                 values = result.diffs.series(sid, engine, metric)
-                undefined = result.diffs.undefined[(sid, engine, metric)]
                 if values:
                     s = summarize(values)
                     stats = [repr(getattr(s, col)) for col in _SUMMARY_COLUMNS]
                 else:
                     stats = [""] * len(_SUMMARY_COLUMNS)
-                writer.writerow([sid, engine, *stats, undefined])
+                writer.writerow([sid, engine, *stats, undefined[(sid, engine, metric)]])
         written.append(summary_path)
 
         long_path = os.path.join(outdir, f"long_{metric}.csv")
@@ -319,10 +304,13 @@ def load_config(path: str) -> BenchmarkConfig:
         dataset = load_dataset(resolve(dataset_path))
         metadata = load_metadata(resolve(metadata_path))
         studies.append(StudyRecord(dataset, metadata, evaluate_dataset(dataset)))
-    return BenchmarkConfig(
-        studies=studies,
-        engines=engines,
-        iterations=int(raw.get("iterations", 10000)),
-        base_seed=int(raw.get("seed", 0)),
-        workers=int(raw.get("workers", 1)),
-    )
+    try:
+        return BenchmarkConfig(
+            studies=studies,
+            engines=engines,
+            iterations=int(raw.get("iterations", 10000)),
+            base_seed=int(raw.get("seed", 0)),
+            workers=int(raw.get("workers", 1)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise StructureError(f"{path}: {exc}") from None

@@ -177,7 +177,6 @@ def _reconcile(
     surv_start: float,
     censor_count: int,
     residual: Callable[[_PassResult], int],
-    iteration_cap: int,
 ) -> tuple[_PassResult, bool, int]:
     """Adjust the censor count by the residual until the residual is zero.
 
@@ -192,7 +191,7 @@ def _reconcile(
     best_diff = None
     seen: set[int] = set()
     iterations = 0
-    while iterations < iteration_cap:
+    while iterations < ITERATION_CAP:
         iterations += 1
         seen.add(censor_count)
         positions = _uniform_positions(t_start, t_end, censor_count)
@@ -210,9 +209,7 @@ def _reconcile(
     return best, False, iterations
 
 
-def reconstruct_arm(
-    arm: DigitizedArm, iteration_cap: int = ITERATION_CAP
-) -> tuple[ArmData, ArmReport]:
+def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
     """Rebuild one arm's observations from its digitized inputs."""
     coords = arm.coordinates
     risk = arm.risk_table
@@ -254,7 +251,6 @@ def reconstruct_arm(
             surv,
             min(max(implied - published_end, 0), n_cur),
             lambda r: r.n_end - published_end,
-            iteration_cap,
         )
         converged = converged and ok
         iterations_total += used
@@ -282,7 +278,6 @@ def reconstruct_arm(
             surv,
             0,
             lambda r: sum(d for _, d in r.events) - target_tail,
-            iteration_cap,
         )
     iterations_total += used
     for t, d in result.events:
@@ -321,7 +316,6 @@ def reconstruct_arm(
 def reconstruct_study(
     arms: tuple[DigitizedArm, DigitizedArm],
     study_id: str | None = None,
-    iteration_cap: int = ITERATION_CAP,
 ) -> tuple[StudyDataset, ReconstructionReport]:
     """Rebuild both arms and bundle the per-arm quality reports."""
     if len(arms) != 2:
@@ -331,7 +325,7 @@ def reconstruct_study(
     report = ReconstructionReport(study_id)
     rebuilt = []
     for arm in arms:
-        data, arm_report = reconstruct_arm(arm, iteration_cap)
+        data, arm_report = reconstruct_arm(arm)
         rebuilt.append(data)
         report.arms[arm.label] = arm_report
     return StudyDataset((rebuilt[0], rebuilt[1])), report

@@ -2,7 +2,9 @@
 
 Most functions repeat the per-step or per-subject loop the package used to
 run, working on plain Python values; the kde functions evaluate the whole
-kernel matrix of a proposal block at once, as the sampler used to.
+kernel matrix of a proposal block at once, as the sampler used to, and
+``run_benchmark`` keeps every iteration's metrics before pivoting them into
+series, as the harness used to.
 ``test_parity.py`` requires the package to agree with them exactly, so a
 rewrite that reorders arithmetic or random draws shows up as a failure
 rather than as a drift in the last digit.
@@ -12,10 +14,13 @@ from __future__ import annotations
 
 import csv
 import math
+import time
 
 import numpy as np
 
-from survbench.core import ArmData, Observation, StudyDataset
+from survbench.core import ArmData, Observation, RandomStream, StudyDataset
+from survbench.engines import ModelBuildError, build_model, simulate
+from survbench.evaluate import evaluate_dataset
 
 
 def km_steps(times: np.ndarray, status: np.ndarray) -> list[tuple[float, int, int, float]]:
@@ -161,3 +166,91 @@ def store_dataset(dataset: StudyDataset, path: str) -> None:
         for arm in dataset.arms:
             for obs in arm.observations:
                 writer.writerow([arm.label, repr(obs.time), obs.status])
+
+
+DIFF_METRICS = ("logrank_p", "hazard_ratio", "median_arm1", "median_arm2", "rmstd")
+RAW_METRICS = ("tie_ratio", "logrank_statistic")
+
+
+def run_benchmark(config) -> tuple[dict, dict, dict]:
+    """Two passes: run every iteration and keep its metrics, then pivot them.
+
+    Returns the (study, engine, metric) -> [(iteration, value)] series, the
+    undefined count per series and the (study, engine) -> simulate seconds
+    lists, first iteration dropped.
+    """
+    models = {}
+    for record in config.studies:
+        for engine in config.engines:
+            try:
+                models[(record.metadata.study_id, engine)] = tuple(
+                    build_model(engine, arm) for arm in record.dataset.arms
+                )
+            except ModelBuildError:
+                pass
+
+    per_iteration = []
+    for i in range(config.iterations):
+        stream = RandomStream(config.base_seed, i)
+        out = {}
+        for record in config.studies:
+            sid = record.metadata.study_id
+            labels = record.dataset.labels
+            sizes = (len(record.dataset.arms[0]), len(record.dataset.arms[1]))
+            for engine in config.engines:
+                pair = models.get((sid, engine))
+                if pair is None:
+                    continue
+                t0 = time.perf_counter_ns()
+                arm1 = simulate(pair[0], sizes[0], stream)
+                arm2 = simulate(pair[1], sizes[1], stream)
+                elapsed = (time.perf_counter_ns() - t0) / 1e9
+                result = evaluate_dataset(StudyDataset((arm1, arm2)))
+                metrics = {
+                    "logrank_p": result.logrank_p,
+                    "hazard_ratio": result.hazard_ratio,
+                    "median_arm1": result.medians[labels[0]],
+                    "median_arm2": result.medians[labels[1]],
+                    "rmstd": result.rmstd,
+                    "tie_ratio": result.tie_ratio,
+                    "logrank_statistic": result.logrank_statistic,
+                }
+                out[(sid, engine)] = (metrics, elapsed)
+        per_iteration.append(out)
+
+    values, undefined, seconds = {}, {}, {}
+    for record in config.studies:
+        sid = record.metadata.study_id
+        labels = record.dataset.labels
+        refs = {
+            "logrank_p": record.metadata.reported_logrank_p,
+            "hazard_ratio": record.metadata.reported_hazard_ratio,
+            "median_arm1": record.metadata.reported_medians.get(labels[0]),
+            "median_arm2": record.metadata.reported_medians.get(labels[1]),
+            "rmstd": record.reference.rmstd,
+        }
+        for engine in config.engines:
+            if (sid, engine) not in models:
+                continue
+            seconds[(sid, engine)] = []
+            for metric in DIFF_METRICS + RAW_METRICS:
+                values[(sid, engine, metric)] = []
+                undefined[(sid, engine, metric)] = 0
+            for i, row in enumerate(per_iteration):
+                metrics, elapsed = row[(sid, engine)]
+                if i > 0:
+                    seconds[(sid, engine)].append(elapsed)
+                for metric in DIFF_METRICS:
+                    sim = metrics[metric]
+                    ref = refs[metric]
+                    if sim is None or ref is None:
+                        undefined[(sid, engine, metric)] += 1
+                    else:
+                        values[(sid, engine, metric)].append((i, sim - ref))
+                for metric in RAW_METRICS:
+                    sim = metrics[metric]
+                    if sim is None:
+                        undefined[(sid, engine, metric)] += 1
+                    else:
+                        values[(sid, engine, metric)].append((i, sim))
+    return values, undefined, seconds

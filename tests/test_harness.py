@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,20 @@ class TestRunBenchmark:
         res = run_benchmark(BenchmarkConfig([record], ["case"], iterations=20, base_seed=3))
         assert res.diffs.undefined[("zero", "case-resampling", "rmstd")] == 20
 
+    def test_peak_memory_stays_near_the_retained_result(self):
+        # results are folded in as each replicate finishes, so no second copy
+        # of them is held; short arms keep one replicate's temporaries small
+        record = make_record(5, "short", n=6)
+        run_benchmark(BenchmarkConfig([record], ["case"], iterations=2))  # first-call caches
+        tracemalloc.start()
+        try:
+            res = run_benchmark(BenchmarkConfig([record], ["case"], iterations=200, base_seed=4))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(res.diffs.series("short", "case-resampling", "tie_ratio")) == 200
+        assert peak <= 1.2 * retained
+
     def test_unbuildable_pair_is_skipped_not_fatal(self):
         dataset = all_censored_study()
         metadata = StudyMetadata("dead", 0.5, None, {"A": None, "B": None}, "non-crossing")
@@ -391,6 +406,25 @@ class TestLoadConfig:
             load_config(str(config_path))
 
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"iterations": 0}, "iterations must be >= 1"),
+            ({"iterations": None}, "NoneType"),
+            ({"seed": "x"}, "invalid literal for int"),
+            ({"workers": -1}, "workers must be >= 1"),
+            ({"engines": ["nope"]}, "unknown engine 'nope'"),
+        ],
+    )
+    def test_bad_value_names_the_file(self, tmp_path, bad, message):
+        self.write_study(tmp_path, "alpha", 5)
+        raw = {"studies": [{"dataset": "alpha.csv", "metadata": "alpha.json"}], "engines": ["case"]}
+        config_path = tmp_path / "bench.json"
+        config_path.write_text(json.dumps({**raw, **bad}))
+        with pytest.raises(StructureError, match=f"bench.json: .*{message}"):
+            load_config(str(config_path))
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -549,6 +583,20 @@ class TestCli:
         report = json.loads((outdir / "report.json").read_text())
         assert report["iterations"] == 4
         assert (outdir / "summary_logrank_p.csv").exists()
+
+    @pytest.mark.parametrize("iterations", ["0", "-3"])
+    def test_bench_rejects_a_non_positive_iteration_override(self, tmp_path, capsys, iterations):
+        self.write_bench_inputs(tmp_path, synth_study(9, n=40))
+        config_path = tmp_path / "bench.json"
+        config_path.write_text(
+            json.dumps({"studies": [{"dataset": "data.csv", "metadata": "meta.json"}], "engines": ["case"]})
+        )
+        outdir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--config", str(config_path), "--out", str(outdir), "--iterations", iterations])
+        assert exc.value.code == 2
+        assert "--iterations: iterations must be >= 1" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_bench_exit_code_flags_skipped_pairs(self, tmp_path, capsys):
         self.write_bench_inputs(tmp_path, all_censored_study())

@@ -7,6 +7,7 @@ sum and random draw, so any difference is a defect, not rounding.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import oracle
@@ -14,8 +15,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from survbench.core import (
+    ArmData,
+    Observation,
     RandomStream,
     StudyDataset,
+    StudyMetadata,
     arm_from_arrays,
     km_from_arrays,
     median_survival,
@@ -32,9 +36,13 @@ from survbench.engines import (
 from survbench.evaluate import (
     _build_event_table,
     _cox_terms,
+    evaluate_dataset,
     rmst_from_curve,
     rmst_tau,
 )
+from survbench.harness import BenchmarkConfig, StudyRecord, run_benchmark
+
+from helpers import synth_study
 
 # times from a coarse grid that includes 0 (heavy ties) or from a continuum
 _grid_time = st.integers(0, 12).map(lambda k: k * 0.5)
@@ -180,3 +188,38 @@ def test_kde_sample_matches_the_whole_block(kde_and_n, seed):
     old_stream = RandomStream(seed, 4).generator
     assert np.array_equal(kde_sample(kde, n, new_stream), oracle.kde_sample(kde, n, old_stream))
     assert new_stream.random() == old_stream.random()
+
+
+def _record(study_id, dataset, reported=True):
+    reference = evaluate_dataset(dataset)
+    medians = dict(reference.medians) if reported else {label: None for label in dataset.labels}
+    hazard_ratio = reference.hazard_ratio if reported else None
+    metadata = StudyMetadata(study_id, reference.logrank_p, hazard_ratio, medians, "non-crossing")
+    return StudyRecord(dataset, metadata, reference)
+
+
+def test_folded_benchmark_matches_the_two_phase_loop():
+    censored_only_at_zero = StudyDataset(
+        (
+            ArmData("A", (Observation(0.0, 0), Observation(2.0, 1), Observation(3.0, 1))),
+            ArmData("B", (Observation(0.0, 1), Observation(1.0, 1), Observation(1.5, 1))),
+        )
+    )
+    config = BenchmarkConfig(
+        [
+            _record("reported", synth_study(3, n=30)),
+            _record("unreported", synth_study(2, n=25), reported=False),  # hazard ratio, medians None
+            _record("zero", censored_only_at_zero, reported=False),  # rmstd undefined
+        ],
+        ["parametric", "kde", "case", "condboot"],
+        iterations=12,
+        base_seed=8,
+    )
+    values, undefined, seconds = oracle.run_benchmark(config)
+    assert any(count == config.iterations for count in undefined.values())
+    for workers in (1, 3):
+        result = run_benchmark(replace(config, workers=workers))
+        assert result.diffs.values == values
+        assert result.diffs.undefined == undefined
+        counts = {key: len(v) for key, v in result.runtimes.seconds.items()}
+        assert counts == {key: len(v) for key, v in seconds.items()}
