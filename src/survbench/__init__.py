@@ -4,7 +4,6 @@ from .core import (
     ArmData,
     KmCurve,
     KmStep,
-    LatentPair,
     Observation,
     RandomStream,
     StudyDataset,
@@ -13,7 +12,6 @@ from .core import (
     load_dataset,
     load_metadata,
     median_survival,
-    observe,
     store_dataset,
     store_metadata,
 )
@@ -24,7 +22,6 @@ from .distributions import (
     cvm_test,
     fit_candidates,
     fit_mle,
-    mixture_pdf,
     pdf,
     quantile,
     sample,
@@ -42,7 +39,6 @@ from .engines import (
     kde_fit,
     kde_sample,
     simulate,
-    split_subsets,
 )
 from .evaluate import (
     CoxResult,

@@ -9,9 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-EVENT = 1
-CENSORED = 0
-
 CURVE_CLASSES = ("crossing", "non-crossing", "non-crossing-late-effect")
 
 DATASET_HEADER = ("arm", "time", "status")
@@ -39,34 +36,12 @@ class Observation:
             raise ValueError(f"status must be 0 or 1, got {self.status}")
 
 
-@dataclass(frozen=True)
-class LatentPair:
-    """Uncensored event time paired with a censoring time, before observation."""
-
-    event_time: float
-    censoring_time: float
-
-    def __post_init__(self) -> None:
-        # censoring_time may be +inf (no censoring mechanism); event_time must be finite
-        if not math.isfinite(self.event_time) or self.event_time <= 0.0:
-            raise ValueError(f"event_time must be finite and > 0, got {self.event_time}")
-        if math.isnan(self.censoring_time) or self.censoring_time <= 0.0:
-            raise ValueError(f"censoring_time must be > 0, got {self.censoring_time}")
-
-
-def observe(pair: LatentPair) -> Observation:
-    """Reduce a latent pair to what a study records.
+def observe_arrays(event_times: np.ndarray, censoring_times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What a study records of each latent (event, censoring) pair.
 
     The event is seen only when it strictly precedes censoring; a tie is
     recorded as censored.
     """
-    if pair.event_time < pair.censoring_time:
-        return Observation(pair.event_time, EVENT)
-    return Observation(pair.censoring_time, CENSORED)
-
-
-def observe_arrays(event_times: np.ndarray, censoring_times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vector form of :func:`observe` for simulation engines."""
     event_times = np.asarray(event_times, dtype=float)
     censoring_times = np.asarray(censoring_times, dtype=float)
     status = (event_times < censoring_times).astype(np.int64)
@@ -91,21 +66,20 @@ class ArmData:
 
     def __init__(self, label: str, observations: tuple[Observation, ...]) -> None:
         obs = tuple(observations)
-        self._set_columns(label, [o.time for o in obs], [o.status for o in obs], obs)
+        times, status = [o.time for o in obs], [o.status for o in obs]
+        _check_arm_columns(label, times, status)
+        self._set_columns(label, times, status, obs)
 
     def _set_columns(self, label: str, times, status, observations=None) -> None:
-        if not label:
-            raise ValueError("arm label must be non-empty")
-        self.label, self._times, status = label, _column(times, float), np.asarray(status)
-        if self._times.size == 0:
-            raise ValueError(f"arm {label!r} has no observations")
-        if self._times.ndim != 1 or status.shape != self._times.shape:
-            raise ValueError(f"arm {label!r}: times and status must be 1-d and of equal length")
-        if not np.all(np.isfinite(self._times) & (self._times >= 0.0)):
-            raise ValueError(f"arm {label!r}: observation times must be finite and >= 0")
-        if not np.all((status == 0) | (status == 1)):
-            raise ValueError(f"arm {label!r}: status must be 0 or 1")
-        self._status, self._observations = _column(status, np.int64), observations
+        self.label, self._observations = label, observations
+        self._times, self._status = _column(times, float), _column(status, np.int64)
+
+    @classmethod
+    def _from_columns(cls, label: str, times, status) -> ArmData:
+        """The unchecked constructor, for columns derived from a checked arm."""
+        arm = cls.__new__(cls)
+        arm._set_columns(label, times, status)
+        return arm
 
     @property
     def observations(self) -> tuple[Observation, ...]:
@@ -135,11 +109,24 @@ class ArmData:
         return self._status
 
 
+def _check_arm_columns(label: str, times, status) -> None:
+    if not label:
+        raise ValueError("arm label must be non-empty")
+    times, status = np.asarray(times, dtype=float), np.asarray(status)
+    if times.size == 0:
+        raise ValueError(f"arm {label!r} has no observations")
+    if times.ndim != 1 or status.shape != times.shape:
+        raise ValueError(f"arm {label!r}: times and status must be 1-d and of equal length")
+    if not np.all(np.isfinite(times) & (times >= 0.0)):
+        raise ValueError(f"arm {label!r}: observation times must be finite and >= 0")
+    if not np.all((status == 0) | (status == 1)):
+        raise ValueError(f"arm {label!r}: status must be 0 or 1")
+
+
 def arm_from_arrays(label: str, times: np.ndarray, status: np.ndarray) -> ArmData:
     """An arm from time and status columns (copied), with no per-row objects."""
-    arm = ArmData.__new__(ArmData)
-    arm._set_columns(label, times, status)
-    return arm
+    _check_arm_columns(label, times, status)
+    return ArmData._from_columns(label, times, status)
 
 
 @dataclass
@@ -177,6 +164,12 @@ class StudyMetadata:
             )
         if not 0.0 <= self.reported_logrank_p <= 1.0:
             raise ValueError(f"reported_logrank_p must lie in [0, 1], got {self.reported_logrank_p}")
+        hr = self.reported_hazard_ratio
+        if hr is not None and not (math.isfinite(hr) and hr > 0.0):
+            raise ValueError(f"reported_hazard_ratio must be finite and > 0, got {hr}")
+        for label, median in self.reported_medians.items():
+            if median is not None and not (math.isfinite(median) and median >= 0.0):
+                raise ValueError(f"reported median of arm {label!r} must be finite and >= 0, got {median}")
 
 
 @dataclass(frozen=True)
@@ -203,10 +196,6 @@ class KmCurve:
     def __init__(self, steps: tuple[KmStep, ...]) -> None:
         steps = tuple(steps)
         self._set_columns(*([getattr(st, name) for st in steps] for name in _KM_COLUMNS), steps)
-
-    def _set_columns(self, time, at_risk, events, survival, steps=None) -> None:
-        self.time, self.survival = _column(time, float), _column(survival, float)
-        self.at_risk, self.events = _column(at_risk, np.int64), _column(events, np.int64)
         if not np.all(np.diff(self.time) > 0.0):
             raise ValueError("step times must be strictly increasing")
         if not np.all((self.events >= 1) & (self.at_risk >= self.events)):
@@ -215,6 +204,10 @@ class KmCurve:
             raise ValueError("at-risk counts must be non-increasing")
         if np.any(self.survival > np.concatenate(([1.0], self.survival[:-1])) + 1e-12):
             raise ValueError("survival must be non-increasing")
+
+    def _set_columns(self, time, at_risk, events, survival, steps=None) -> None:
+        self.time, self.survival = _column(time, float), _column(survival, float)
+        self.at_risk, self.events = _column(at_risk, np.int64), _column(events, np.int64)
         self._steps = steps
 
     @property
@@ -229,17 +222,15 @@ class KmCurve:
 
 
 def km_from_arrays(times: np.ndarray, status: np.ndarray) -> KmCurve:
-    """Kaplan-Meier estimate from raw arrays.
+    """Kaplan-Meier estimate from the columns of a checked arm.
 
-    At each distinct event time t the at-risk count is the number of
-    observations with time >= t, so subjects censored exactly at t are
-    still counted as at risk there. The running product multiplies the
-    factors in time order, as a step-by-step loop would.
+    The curve is not checked again: ``unique``, ``searchsorted`` and
+    ``cumprod`` make it valid for any arm's columns. At each distinct event
+    time t the at-risk count is the number of observations with time >= t,
+    so subjects censored exactly at t are still counted as at risk there.
+    The running product multiplies the factors in time order, as a
+    step-by-step loop would.
     """
-    times = np.asarray(times, dtype=float)
-    status = np.asarray(status)
-    if times.size == 0:
-        raise ValueError("cannot estimate a curve from zero observations")
     event_times, event_counts = np.unique(times[status == 1], return_counts=True)
     at_risk = times.size - np.searchsorted(np.sort(times), event_times, side="left")
     curve = KmCurve.__new__(KmCurve)
@@ -318,7 +309,8 @@ def load_dataset(path: str) -> StudyDataset:
         by_arm.setdefault(label, []).append((time, int(row[2])))
     if len(by_arm) != 2:
         raise StructureError(f"{path}: expected exactly 2 arm labels, got {sorted(by_arm)}")
-    arms = tuple(arm_from_arrays(label, *zip(*pairs)) for label, pairs in by_arm.items())
+    # every row is checked above
+    arms = tuple(ArmData._from_columns(label, *zip(*pairs)) for label, pairs in by_arm.items())
     return StudyDataset(arms)  # type: ignore[arg-type]
 
 
@@ -335,19 +327,22 @@ def load_metadata(path: str) -> StudyMetadata:
     with open(path) as fh:
         raw = json.load(fh)
     try:
+        medians = raw["reported_medians"]
+        if not isinstance(medians, dict):
+            raise ValueError(f"reported_medians must map arm labels to medians, got {medians!r}")
         return StudyMetadata(
             study_id=raw["study_id"],
             reported_logrank_p=float(raw["reported_logrank_p"]),
             reported_hazard_ratio=(
                 None if raw["reported_hazard_ratio"] is None else float(raw["reported_hazard_ratio"])
             ),
-            reported_medians={
-                str(k): (None if v is None else float(v)) for k, v in raw["reported_medians"].items()
-            },
+            reported_medians={str(k): (None if v is None else float(v)) for k, v in medians.items()},
             curve_class=raw["curve_class"],
         )
     except KeyError as exc:
         raise StructureError(f"{path}: missing metadata key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise StructureError(f"{path}: {exc}") from None
 
 
 def store_metadata(meta: StudyMetadata, path: str) -> None:

@@ -153,16 +153,6 @@ def _mixture_logpdf(x, wshape, wscale, nmean, nsd):
     return np.logaddexp(weib_part, norm_part)
 
 
-def mixture_pdf(
-    x, weibull_shape: float, weibull_scale: float, normal_mean: float, normal_sd: float
-) -> np.ndarray | float:
-    """Density of the fixed-weight Weibull(0.2) + normal(0.8) mixture."""
-    fam = ParametricFamily(
-        "weibull-normal-mixture", (weibull_shape, weibull_scale, normal_mean, normal_sd)
-    )
-    return pdf(fam, x)
-
-
 def _mixture_cdf(x, wshape, wscale, nmean, nsd):
     x = np.asarray(x, dtype=float)
     weib = np.where(x > 0.0, -np.expm1(-((np.maximum(x, 0.0) / wscale) ** wshape)), 0.0)
@@ -199,14 +189,22 @@ def _weibull_moment_start(x: np.ndarray) -> tuple[float, float]:
     return shape, max(scale, 1e-12)
 
 
-def _gamma_start(x: np.ndarray) -> tuple[float, float]:
+def _moments(x: np.ndarray) -> tuple[float, float]:
+    """Mean and variance; a variance that underflows to 0 leaves no moment start."""
     mean, var = float(np.mean(x)), float(np.var(x))
+    if var == 0.0:
+        raise FitFailureError("sample variance underflows to 0")
+    return mean, var
+
+
+def _gamma_start(x: np.ndarray) -> tuple[float, float]:
+    mean, var = _moments(x)
     shape = float(np.clip(mean * mean / var, 1e-3, 1e6))
     return shape, shape / mean
 
 
 def _inverse_gamma_start(x: np.ndarray) -> tuple[float, float]:
-    mean, var = float(np.mean(x)), float(np.var(x))
+    mean, var = _moments(x)
     shape = mean * mean / var + 2.0
     return shape, mean * (shape - 1.0)
 

@@ -73,13 +73,6 @@ def canonical_engine(name: str) -> str:
     return kind
 
 
-def split_subsets(arm: ArmData) -> tuple[np.ndarray, np.ndarray]:
-    """Event times and censoring times of an arm, in input order."""
-    times = arm.times()
-    status = arm.statuses()
-    return times[status == 1], times[status == 0]
-
-
 # ---------------------------------------------------------------------------
 # kernel density estimation
 
@@ -127,12 +120,13 @@ def silverman_bandwidth(sample_values: np.ndarray) -> float:
     return 0.9 * spread * x.size ** (-0.2)
 
 
-def kde_fit(sample_values, bandwidth: float | None = None) -> KdeDensity:
-    """Fit the KDE; `bandwidth` overrides the Silverman rule (test hook)."""
+def kde_fit(sample_values) -> KdeDensity:
+    """Fit the KDE with the Silverman bandwidth."""
     x = np.asarray(sample_values, dtype=float)
     if x.size == 0 or not np.all(np.isfinite(x)):
         raise BandwidthError("sample must be non-empty and finite")
-    h = silverman_bandwidth(x) if bandwidth is None else float(bandwidth)
+    h = silverman_bandwidth(x)
+    # the rule underflows to 0 on subnormal samples
     if h <= 0.0:
         raise BandwidthError(f"bandwidth must be > 0, got {h}")
     lower = max(0.0, float(np.min(x)) - 3.0 * h)
@@ -234,7 +228,8 @@ class ArmModel:
 def build_model(engine: str, arm: ArmData) -> ArmModel:
     """Fit one arm for one engine; all expensive fitting happens here."""
     kind = canonical_engine(engine)
-    events, censorings = split_subsets(arm)
+    times, status = arm.times(), arm.statuses()
+    events, censorings = times[status == 1], times[status == 0]
     model = ArmModel(kind, arm.label, len(arm), source=arm)
     if kind == "parametric":
         try:
@@ -300,6 +295,7 @@ def _simulate_independent(label: str, sampler, event_src, censor_src, n_out: int
     else:
         censorings = sampler(censor_src, n_out, gen)
     times, status = observe_arrays(events, censorings)
+    # checked: a fitted family can draw +inf, which no censoring draw hides
     return arm_from_arrays(label, times, status)
 
 
@@ -308,7 +304,8 @@ def case_resample(model: ArmModel, n_out: int, rng: RandomStream | np.random.Gen
     gen = as_generator(rng)
     idx = gen.integers(0, model.n_source, size=n_out)
     source = model.source
-    return arm_from_arrays(model.label, source.times()[idx], source.statuses()[idx])
+    # rows of a checked arm: nothing to re-check
+    return ArmData._from_columns(model.label, source.times()[idx], source.statuses()[idx])
 
 
 def conditional_bootstrap(
@@ -361,8 +358,8 @@ def conditional_bootstrap(
     to_draw = np.isnan(event_latent)
     n_draw = int(np.count_nonzero(to_draw))
     event_latent[to_draw] = pool[gen.integers(0, pool.size, size=n_draw)]
-    times, status = observe_arrays(event_latent, censor_latent)
-    return arm_from_arrays(model.label, times, status)
+    # every time is a source time, and a +inf partner leaves its row an event
+    return ArmData._from_columns(model.label, *observe_arrays(event_latent, censor_latent))
 
 
 def simulate(model: ArmModel, n_out: int, rng: RandomStream | np.random.Generator) -> ArmData:

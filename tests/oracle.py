@@ -1,10 +1,12 @@
 """Implementations that the package replaced, kept as a reference.
 
-Most functions repeat the per-step or per-subject loop the package used to
-run, working on plain Python values; the kde functions evaluate the whole
-kernel matrix of a proposal block at once, as the sampler used to, and
-``run_benchmark`` keeps every iteration's metrics before pivoting them into
-series, as the harness used to.
+``LatentPair`` and ``observe`` are the scalar observation rule that
+``observe_arrays`` vectorises. Most other functions repeat the per-step or
+per-subject loop the package used to run, working on plain Python values;
+the kde functions evaluate the whole kernel matrix of a proposal block at
+once, as the sampler used to, and ``run_benchmark`` keeps every
+iteration's metrics before pivoting them into series, as the harness used
+to.
 ``test_parity.py`` requires the package to agree with them exactly, so a
 rewrite that reorders arithmetic or random draws shows up as a failure
 rather than as a drift in the last digit.
@@ -15,12 +17,35 @@ from __future__ import annotations
 import csv
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from survbench.core import ArmData, Observation, RandomStream, StudyDataset
 from survbench.engines import ModelBuildError, build_model, simulate
 from survbench.evaluate import evaluate_dataset
+
+
+@dataclass(frozen=True)
+class LatentPair:
+    """Uncensored event time paired with a censoring time, before observation."""
+
+    event_time: float
+    censoring_time: float
+
+    def __post_init__(self) -> None:
+        # censoring_time may be +inf (no censoring mechanism); event_time must be finite
+        if not math.isfinite(self.event_time) or self.event_time <= 0.0:
+            raise ValueError(f"event_time must be finite and > 0, got {self.event_time}")
+        if math.isnan(self.censoring_time) or self.censoring_time <= 0.0:
+            raise ValueError(f"censoring_time must be > 0, got {self.censoring_time}")
+
+
+def observe(pair: LatentPair) -> Observation:
+    """The scalar rule behind ``observe_arrays``: a tie is recorded as censored."""
+    if pair.event_time < pair.censoring_time:
+        return Observation(pair.event_time, 1)
+    return Observation(pair.censoring_time, 0)
 
 
 def km_steps(times: np.ndarray, status: np.ndarray) -> list[tuple[float, int, int, float]]:

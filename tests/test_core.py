@@ -1,6 +1,8 @@
 """Core data model: observation rule, KM estimator, CSV and JSON round trips."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from survbench.core import (
     ArmData,
     KmCurve,
     KmStep,
-    LatentPair,
     Observation,
     ParseError,
     RandomStream,
@@ -22,11 +23,11 @@ from survbench.core import (
     load_dataset,
     load_metadata,
     median_survival,
-    observe,
     observe_arrays,
     store_dataset,
     store_metadata,
 )
+from oracle import LatentPair, observe
 
 
 def arm(label, pairs):
@@ -128,6 +129,18 @@ class TestKaplanMeier:
         with pytest.raises(ValueError):
             KmCurve((KmStep(1.0, 4, 1, 0.75), KmStep(2.0, 5, 1, 0.5)))
 
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            (KmStep(2.0, 4, 1, 0.75), KmStep(2.0, 3, 1, 0.5)),  # times not increasing
+            (KmStep(1.0, 4, 0, 1.0),),  # a step without events
+            (KmStep(1.0, 2, 3, 0.0),),  # more events than at risk
+        ],
+    )
+    def test_curve_validation_rejects_malformed_steps(self, steps):
+        with pytest.raises(ValueError):
+            KmCurve(steps)
+
 
 class TestMedianSurvival:
     def test_fixture_median(self):
@@ -204,6 +217,13 @@ class TestDatasetCsv:
         with pytest.raises(ParseError, match="line 3"):
             load_dataset(str(path))
 
+    @pytest.mark.parametrize("time", ["nan", "inf", "-1", "1e999"])
+    def test_non_finite_or_negative_time_reports_its_line_number(self, tmp_path, time):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"arm,time,status\nA,1.0,1\nB,{time},0\nB,2.0,1\n")
+        with pytest.raises(ParseError, match="line 3: time must be finite and >= 0"):
+            load_dataset(str(path))
+
     def test_single_arm_is_a_structure_error(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("arm,time,status\nA,1.0,1\nA,2.0,0\n")
@@ -244,6 +264,44 @@ class TestMetadataJson:
         with pytest.raises(ValueError):
             StudyMetadata("s", 0.5, None, {}, "sideways")
 
+    @pytest.mark.parametrize("hazard_ratio", [-2.0, 0.0, math.inf, math.nan])
+    def test_rejects_a_non_positive_or_non_finite_hazard_ratio(self, hazard_ratio):
+        with pytest.raises(ValueError, match="reported_hazard_ratio"):
+            StudyMetadata("s", 0.5, hazard_ratio, {}, "crossing")
+
+    @pytest.mark.parametrize("median", [-1.0, math.inf, math.nan])
+    def test_rejects_a_negative_or_non_finite_median(self, median):
+        with pytest.raises(ValueError, match="reported median of arm 'A'"):
+            StudyMetadata("s", 0.5, None, {"A": median, "B": 3.0}, "crossing")
+
+    def test_accepts_a_zero_median_and_absent_figures(self):
+        StudyMetadata("s", 0.0, None, {"A": 0.0, "B": None}, "crossing")
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("reported_logrank_p", 1.5),
+            ("reported_logrank_p", "x"),
+            ("reported_hazard_ratio", -2.0),
+            ("reported_medians", [12.5, None]),
+            ("reported_medians", {"A": "nan", "B": None}),
+            ("curve_class", "sideways"),
+        ],
+    )
+    def test_bad_value_names_the_file(self, tmp_path, key, value):
+        payload = {
+            "study_id": "trial-1",
+            "reported_logrank_p": 0.031,
+            "reported_hazard_ratio": 0.78,
+            "reported_medians": {"A": 12.5, "B": None},
+            "curve_class": "crossing",
+            key: value,
+        }
+        path = tmp_path / "meta.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StructureError, match=re.escape(str(path))):
+            load_metadata(str(path))
+
 
 def test_arm_from_arrays_round_trips_times_and_statuses():
     times = np.array([3.0, 1.0, 2.0])
@@ -256,3 +314,22 @@ def test_arm_from_arrays_round_trips_times_and_statuses():
 def test_empty_arm_is_rejected():
     with pytest.raises(ValueError):
         ArmData("A", ())
+
+
+@pytest.mark.parametrize(
+    "label,times,status",
+    [
+        ("", [1.0], [1]),
+        ("X", [], []),
+        ("X", [[1.0]], [[1]]),
+        ("X", [1.0, 2.0], [1]),
+        ("X", [math.nan], [1]),
+        ("X", [math.inf], [0]),
+        ("X", [-1.0], [1]),
+        ("X", [1.0], [2]),
+        ("X", [1.0], [0.5]),
+    ],
+)
+def test_arm_from_arrays_rejects_bad_columns(label, times, status):
+    with pytest.raises(ValueError):
+        arm_from_arrays(label, np.array(times), np.array(status))

@@ -230,6 +230,12 @@ class TestMaximumLikelihood:
         with pytest.raises(FitFailureError):
             fit_mle("normal", [4.2])
 
+    @pytest.mark.parametrize("fam_id", ["gamma", "inverse-gamma"])
+    def test_underflowing_variance_fails_to_fit(self, fam_id):
+        # mean squared and variance both underflow to 0 near 1e-170
+        with pytest.raises(FitFailureError, match="variance underflows"):
+            fit_mle(fam_id, np.arange(1, 7) * 1e-170)
+
     def test_positive_family_rejects_nonpositive_values(self):
         for fam_id in ("weibull", "log-normal", "inverse-gamma", "gompertz"):
             with pytest.raises(SupportError):
@@ -295,6 +301,11 @@ class TestSelection:
         assert "normal" in fitted
         best = select_distribution(xs)
         assert not ParametricFamily(best.family.family_id, best.family.parameters).positive_support
+
+    def test_candidates_skip_moment_starts_that_underflow(self):
+        fits, failures = fit_candidates(np.arange(1, 7) * 1e-170)
+        assert set(failures) == {"gamma", "inverse-gamma"}
+        assert len(fits) == len(CANONICAL_FAMILIES) - 2
 
     def test_too_small_sample_is_rejected(self):
         with pytest.raises(SelectionError):

@@ -10,6 +10,8 @@ from survbench.core import ArmData, Observation, RandomStream, StudyDataset, km_
 from survbench.distributions import fit_mle
 from survbench.engines import (
     ENGINE_KINDS,
+    KDE_ENVELOPE_SAFETY,
+    KDE_GRID_POINTS,
     ArmModel,
     BandwidthError,
     KdeDensity,
@@ -26,7 +28,6 @@ from survbench.engines import (
     model_summary,
     silverman_bandwidth,
     simulate,
-    split_subsets,
 )
 from survbench.evaluate import tie_ratio
 
@@ -56,17 +57,18 @@ class TestCanonicalEngine:
 
 
 class TestSplitSubsets:
+    """build_model fits events and censorings as the arm's status splits them."""
+
     def test_partition_by_status(self):
         arm = arm_of([(5.0, 1), (2.0, 0), (7.0, 1), (3.0, 0), (9.0, 0)])
-        events, censorings = split_subsets(arm)
-        assert sorted(events.tolist()) == [5.0, 7.0]
-        assert sorted(censorings.tolist()) == [2.0, 3.0, 9.0]
+        model = build_model("kde", arm)
+        assert model.event_kde.support.tolist() == [5.0, 7.0]
+        assert model.censoring_kde.support.tolist() == [2.0, 3.0, 9.0]
 
     def test_empty_sides(self):
-        events, censorings = split_subsets(arm_of([(1.0, 1), (2.0, 1)]))
-        assert censorings.size == 0 and events.size == 2
-        events, censorings = split_subsets(arm_of([(1.0, 0)]))
-        assert events.size == 0 and censorings.size == 1
+        model = build_model("kde", arm_of([(1.0, 1), (2.0, 1)]))
+        assert model.censoring_kde is None and model.event_kde.support.size == 2
+        # an arm without events: test_kde_without_events_fails
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +111,16 @@ class TestKdeFit:
         kde = kde_fit([100.0, 101.0, 102.0, 103.0])
         assert kde.lower == pytest.approx(100.0 - 3.0 * kde.bandwidth, rel=1e-12)
 
-    def test_single_point_with_bandwidth_override(self):
-        kde = kde_fit([0.0], bandwidth=1.0)
-        assert kde.lower == 0.0
-        assert kde.upper == 3.0
-        # standard normal density at its own centre
+    def test_single_point_density_is_the_kernel(self):
+        kde = KdeDensity(np.array([0.0]), 1.0, 0.0, 3.0, envelope=1.0)
+        # standard normal density at its own centre and one bandwidth out
         assert kde.density(0.0)[0] == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-12)
-        assert kde.envelope == pytest.approx(0.402931703205447, rel=1e-10)
+        assert kde.density([-1.0, 1.0]).tolist() == [math.exp(-0.5) / math.sqrt(2.0 * math.pi)] * 2
+
+    def test_envelope_is_the_grid_peak_with_margin(self):
+        kde = kde_fit([1.0, 2.0, 3.0, 10.0])
+        grid = np.linspace(kde.lower, kde.upper, KDE_GRID_POINTS)
+        assert kde.envelope == float(np.max(kde.density(grid))) * KDE_ENVELOPE_SAFETY
 
     def test_envelope_dominates_density(self):
         kde = kde_fit([1.0, 1.5, 2.0, 8.0, 9.0])
@@ -134,8 +139,9 @@ class TestKdeFit:
             kde_fit([])
         with pytest.raises(BandwidthError):
             kde_fit([1.0, np.inf])
+        # the Silverman rule underflows to 0 on a subnormal sample
         with pytest.raises(BandwidthError, match="bandwidth must be > 0"):
-            kde_fit([1.0, 2.0], bandwidth=0.0)
+            kde_fit([5e-324, 1e-323, 1.5e-323])
 
 
 class TestKdeSample:
@@ -279,6 +285,13 @@ class TestBuildModel:
         model = build_model("parametric", arm)
         assert model.event_fit is not None
         assert model.censoring_fit is None
+
+    def test_parametric_fits_the_other_families_on_tiny_times(self):
+        # gamma and inverse-gamma have no moment start at times near 1e-170
+        arm = arm_of([(k * 1e-170, k % 2) for k in range(1, 13)])
+        model = build_model("parametric", arm)
+        for fit in (model.event_fit, model.censoring_fit):
+            assert fit.family.family_id not in ("gamma", "inverse-gamma")
 
     def test_kde_needs_two_events(self):
         with pytest.raises(ModelBuildError, match="arm 'A', kde"):

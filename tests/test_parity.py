@@ -11,23 +11,31 @@ from dataclasses import replace
 
 import numpy as np
 import oracle
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from survbench import core
 from survbench.core import (
     ArmData,
+    KmCurve,
     Observation,
+    ParseError,
     RandomStream,
+    StructureError,
     StudyDataset,
     StudyMetadata,
     arm_from_arrays,
+    km_estimate,
     km_from_arrays,
+    load_dataset,
     median_survival,
     store_dataset,
 )
 from survbench.engines import (
     build_model,
     case_resample,
+    censoring_km,
     conditional_bootstrap,
     kde_fit,
     kde_sample,
@@ -145,6 +153,77 @@ def test_conditional_bootstrap_matches_the_loop(columns, seed):
         arm, model.ghat.atom_times, model.ghat.atom_masses, RandomStream(seed, 2).generator
     )
     assert list(zip(out.times().tolist(), out.statuses().tolist())) == expected
+
+
+# ---------------------------------------------------------------------------
+# columns the package derives skip the public checks; these properties hold
+# them to those checks
+
+
+def _passes_the_arm_checks(arm):
+    assert not (arm.times().flags.writeable or arm.statuses().flags.writeable)
+    return arm_from_arrays(arm.label, arm.times(), arm.statuses()) == arm
+
+
+@settings(deadline=None)
+@given(arm_columns())
+def test_derived_curve_passes_the_curve_checks(columns):
+    curve = km_estimate(arm_from_arrays("A", *columns))
+    checked = KmCurve(curve.steps)
+    for name in ("time", "at_risk", "events", "survival"):
+        assert np.array_equal(getattr(checked, name), getattr(curve, name))
+
+
+@settings(deadline=None)
+@given(arm_columns(), st.integers(1, 80), st.integers(0, 2**32))
+def test_case_resampled_arm_passes_the_arm_checks(columns, n_out, seed):
+    arm = arm_from_arrays("A", *columns)
+    assert _passes_the_arm_checks(case_resample(build_model("case", arm), n_out, RandomStream(seed, 1)))
+
+
+@settings(deadline=None)
+@given(arm_columns(), st.integers(0, 2**32))
+def test_conditional_bootstrap_arm_passes_the_arm_checks(columns, seed):
+    assume(columns[1].any())  # no events to resample: build_model refuses the arm
+    model = build_model("condboot", arm_from_arrays("A", *columns))
+    assert _passes_the_arm_checks(conditional_bootstrap(model, len(model.source), RandomStream(seed, 2)))
+
+
+_time_text = st.floats().map(repr) | st.sampled_from(["nan", "inf", "-1", "1e999", "-0.0", "0"])
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("AB"), _time_text, st.sampled_from("012")), min_size=1, max_size=20))
+def test_loaded_arms_pass_the_arm_checks(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("load") / "study.csv"
+    path.write_text("arm,time,status\n" + "".join(f"{a},{t},{s}\n" for a, t, s in rows))
+    if not all(math.isfinite(float(t)) and float(t) >= 0.0 and s != "2" for _, t, s in rows):
+        with pytest.raises(ParseError, match="line"):
+            load_dataset(str(path))
+    elif len({a for a, _, _ in rows}) != 2:
+        with pytest.raises(StructureError):
+            load_dataset(str(path))
+    else:
+        for arm in load_dataset(str(path)).arms:
+            assert _passes_the_arm_checks(arm)
+            rows_of_arm = [(float(t), int(s)) for a, t, s in rows if a == arm.label]
+            assert list(zip(arm.times().tolist(), arm.statuses().tolist())) == rows_of_arm
+
+
+def test_derived_columns_are_not_checked_again(tmp_path, monkeypatch):
+    dataset = synth_study(4, n=20)
+    store_dataset(dataset, str(tmp_path / "study.csv"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("derived columns were checked again")
+
+    monkeypatch.setattr(core, "_check_arm_columns", refuse)
+    monkeypatch.setattr(KmCurve, "__init__", refuse)
+    arm = load_dataset(str(tmp_path / "study.csv")).arms[0]
+    km_estimate(arm)
+    censoring_km(arm)
+    case_resample(build_model("case", arm), 20, RandomStream(0, 1))
+    conditional_bootstrap(build_model("condboot", arm), len(arm), RandomStream(0, 2))
 
 
 @settings(deadline=None)
