@@ -7,7 +7,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .core import RandomStream, StudyDataset, load_dataset, store_dataset
+from .core import RandomStream, StudyDataset, load_dataset, read_json, store_dataset
 from .engines import build_model, model_summary, simulate
 from .evaluate import evaluate_dataset, store_evaluation
 from .harness import load_config, run_benchmark
@@ -33,8 +33,7 @@ def _cmd_reconstruct(parser: argparse.ArgumentParser, args: argparse.Namespace) 
         parser.error("--coords and --risk must name the same arm labels")
     totals: dict[str, int] = {}
     if args.meta:
-        with open(args.meta) as fh:
-            totals = {str(k): int(v) for k, v in json.load(fh).items() if v is not None}
+        totals = {str(k): int(v) for k, v in read_json(args.meta).items() if v is not None}
     arms = tuple(
         load_digitized_arm(label, coords_path, risk[label], totals.get(label))
         for label, coords_path in coords

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -283,10 +284,34 @@ def as_generator(rng: RandomStream | np.random.Generator) -> np.random.Generator
     return rng
 
 
+def _read_text(path: str) -> str:
+    """A file's UTF-8 text; bytes that do not decode raise ParseError naming the line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path} line {line}: not UTF-8 text ({exc})") from None
+
+
+def read_csv_rows(path: str) -> list[list[str]]:
+    """Every row of a UTF-8 CSV file."""
+    return list(csv.reader(io.StringIO(_read_text(path), newline="")))
+
+
+def read_json(path: str):
+    """The value in a UTF-8 JSON file; malformed JSON raises ParseError naming line and column."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path} line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+
+
 def load_dataset(path: str) -> StudyDataset:
     """Read a two-arm study from an arm,time,status CSV."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = read_csv_rows(path)
     if not rows:
         raise ParseError(f"{path}: empty file")
     if tuple(rows[0]) != DATASET_HEADER:
@@ -324,8 +349,7 @@ def store_dataset(dataset: StudyDataset, path: str) -> None:
 
 
 def load_metadata(path: str) -> StudyMetadata:
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     try:
         medians = raw["reported_medians"]
         if not isinstance(medians, dict):

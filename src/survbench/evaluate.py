@@ -102,9 +102,7 @@ def _build_event_table(dataset: StudyDataset) -> _EventTable:
     return _EventTable(n1=n1, n0=n0, d1=d1, d0=d0)
 
 
-def logrank_test(dataset: StudyDataset) -> LogrankResult:
-    """Two-sided logrank test with the hypergeometric tie correction."""
-    tab = _build_event_table(dataset)
+def _logrank(tab: _EventTable) -> LogrankResult:
     n = tab.n1 + tab.n0
     d = tab.d1 + tab.d0
     expected = d * tab.n1 / n
@@ -121,38 +119,38 @@ def logrank_test(dataset: StudyDataset) -> LogrankResult:
     return LogrankResult(statistic, p_value, observed, e_total, v_total)
 
 
-def _cox_terms(tab: _EventTable, ties: str) -> tuple[np.ndarray, ...]:
-    # expand per event time into one row per Efron correction step
-    d = tab.d1 + tab.d0
+def logrank_test(dataset: StudyDataset) -> LogrankResult:
+    """Two-sided logrank test with the hypergeometric tie correction."""
+    return _logrank(_build_event_table(dataset))
+
+
+def _cox_terms(tab: _EventTable, ties: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The beta-free parts of each risk-set row: (a1, a0, weights).
+
+    Row r contributes ``weights[r] * log(a0[r] + a1[r] * exp(beta))`` to the
+    log partial likelihood's denominator. Breslow has one row per event
+    time; Efron expands an event time with d tied events into d rows, row
+    k removing the fraction k/d of the tied events from the risk set.
+    """
     if ties == "breslow":
-        fracs = np.zeros(d.size)
-        n1 = tab.n1
-        n0 = tab.n0
-        f1 = np.zeros(d.size)
-        f0 = np.zeros(d.size)
-        weights = d
-    elif ties == "efron":
-        # row r of event time i gets the correction (r - start_i) / d_i
-        reps = d.astype(int)
-        starts = np.cumsum(reps) - reps
-        fracs = (np.arange(reps.sum()) - np.repeat(starts, reps)) / np.repeat(reps, reps)
-        n1 = np.repeat(tab.n1, reps)
-        n0 = np.repeat(tab.n0, reps)
-        f1 = np.repeat(tab.d1, reps)
-        f0 = np.repeat(tab.d0, reps)
-        weights = np.ones(fracs.size)
-    else:
+        return tab.n1, tab.n0, tab.d1 + tab.d0
+    if ties != "efron":
         raise ValueError(f"ties must be 'efron' or 'breslow', got {ties!r}")
-    return n1, n0, f1, f0, fracs, weights
+    reps = (tab.d1 + tab.d0).astype(int)
+    starts = np.cumsum(reps) - reps
+    fracs = (np.arange(reps.sum()) - np.repeat(starts, reps)) / np.repeat(reps, reps)
+    a1 = np.repeat(tab.n1, reps) - fracs * np.repeat(tab.d1, reps)
+    a0 = np.repeat(tab.n0, reps) - fracs * np.repeat(tab.d0, reps)
+    return a1, a0, np.ones(fracs.size)
 
 
 def _cox_loglik_parts(
     beta: float, terms: tuple[np.ndarray, ...], d1_total: float
 ) -> tuple[float, float, float]:
-    n1, n0, f1, f0, fracs, weights = terms
+    a1, a0, weights = terms
     r = math.exp(min(max(beta, -700.0), 700.0))
-    denom = (n0 - fracs * f0) + (n1 - fracs * f1) * r
-    numer = (n1 - fracs * f1) * r
+    numer = a1 * r
+    denom = a0 + numer
     u = numer / denom
     ll = beta * d1_total - float(np.sum(weights * np.log(denom)))
     score = d1_total - float(np.sum(weights * u))
@@ -163,24 +161,15 @@ def _cox_loglik_parts(
 def cox_partial_loglik(dataset: StudyDataset, beta: float, ties: str = "efron") -> float:
     """Partial log-likelihood with the first arm as the indicator group."""
     tab = _build_event_table(dataset)
-    terms = _cox_terms(tab, ties)
-    return _cox_loglik_parts(beta, terms, float(np.sum(tab.d1)))[0]
+    return _cox_loglik_parts(beta, _cox_terms(tab, ties), float(np.sum(tab.d1)))[0]
 
 
 def cox_score(dataset: StudyDataset, beta: float, ties: str = "efron") -> float:
     tab = _build_event_table(dataset)
-    terms = _cox_terms(tab, ties)
-    return _cox_loglik_parts(beta, terms, float(np.sum(tab.d1)))[1]
+    return _cox_loglik_parts(beta, _cox_terms(tab, ties), float(np.sum(tab.d1)))[1]
 
 
-def cox_hazard_ratio(dataset: StudyDataset, ties: str = "efron") -> CoxResult:
-    """Newton-Raphson fit of the single-covariate proportional-hazards model.
-
-    The step is halved until the log-likelihood improves; a run toward
-    infinite beta (monotone likelihood) is reported as non-convergence
-    with the hazard ratio absent.
-    """
-    tab = _build_event_table(dataset)
+def _cox_fit(tab: _EventTable, ties: str) -> CoxResult:
     d1_total = float(np.sum(tab.d1))
     terms = _cox_terms(tab, ties)
     beta = 0.0
@@ -206,10 +195,21 @@ def cox_hazard_ratio(dataset: StudyDataset, ties: str = "efron") -> CoxResult:
     return CoxResult(None, None, False, iterations)
 
 
-def _arm_max_is_censored(arm: ArmData) -> bool:
-    # a censored subject recorded at the shared maximum is still at risk there
-    censored = arm.statuses() == 0
-    return bool(censored.any() and arm.times()[censored].max() == arm.times().max())
+def cox_hazard_ratio(dataset: StudyDataset, ties: str = "efron") -> CoxResult:
+    """Newton-Raphson fit of the single-covariate proportional-hazards model.
+
+    The step is halved until the log-likelihood improves; a run toward
+    infinite beta (monotone likelihood) is reported as non-convergence
+    with the hazard ratio absent.
+    """
+    return _cox_fit(_build_event_table(dataset), ties)
+
+
+def _arm_maxima(arm: ArmData) -> tuple[float, float | None]:
+    """The arm's largest time and its largest censored time (None if none)."""
+    times = arm.times()
+    censored = times[arm.statuses() == 0]
+    return float(times.max()), (float(censored.max()) if censored.size else None)
 
 
 def rmst_tau(dataset: StudyDataset) -> float:
@@ -219,13 +219,12 @@ def rmst_tau(dataset: StudyDataset) -> float:
     the largest censoring time in the whole dataset is used, falling back
     to the overall maximum time when nothing is censored.
     """
-    arm_max = [float(np.max(arm.times())) for arm in dataset.arms]
-    if all(_arm_max_is_censored(arm) for arm in dataset.arms):
-        return min(arm_max)
-    censored_times = np.concatenate([arm.times()[arm.statuses() == 0] for arm in dataset.arms])
-    if censored_times.size:
-        return float(np.max(censored_times))
-    return max(arm_max)
+    (max1, censored1), (max2, censored2) = map(_arm_maxima, dataset.arms)
+    # a censored subject recorded at the shared maximum is still at risk there
+    if censored1 == max1 and censored2 == max2:
+        return min(max1, max2)
+    censored = [t for t in (censored1, censored2) if t is not None]
+    return max(censored) if censored else max(max1, max2)
 
 
 def rmst_from_curve(curve: KmCurve, tau: float) -> float:
@@ -252,22 +251,27 @@ def rmstd(dataset: StudyDataset, tau: float | None = None) -> float:
 
 def tie_ratio(dataset: StudyDataset) -> float:
     """Fraction of pooled observations sharing their time with another one."""
-    times = np.concatenate([arm.times() for arm in dataset.arms])
-    _, inverse, counts = np.unique(times, return_inverse=True, return_counts=True)
-    return float(np.count_nonzero(counts[inverse] > 1)) / times.size
+    times = np.sort(np.concatenate([arm.times() for arm in dataset.arms]))
+    # a sorted value is tied when it equals its left or its right neighbour
+    same = times[1:] == times[:-1]
+    tied = np.count_nonzero(np.concatenate(([False], same)) | np.concatenate((same, [False])))
+    return float(tied) / times.size
 
 
 def evaluate_dataset(dataset: StudyDataset) -> EvaluationResult:
-    """All comparison statistics; degenerate ones are recorded as absent."""
+    """All comparison statistics; degenerate ones are recorded as absent.
+
+    Logrank and Cox share one event table: the logrank test is the Cox
+    score test at beta = 0, over the same risk sets.
+    """
+    statistic = p_value = hazard_ratio = None
     try:
-        lr = logrank_test(dataset)
+        tab = _build_event_table(dataset)
+        hazard_ratio = _cox_fit(tab, "efron").hazard_ratio
+        lr = _logrank(tab)
         statistic, p_value = lr.statistic, lr.p_value
     except DegenerateTestError:
-        statistic, p_value = None, None
-    try:
-        hazard_ratio = cox_hazard_ratio(dataset).hazard_ratio
-    except DegenerateTestError:
-        hazard_ratio = None
+        pass  # no events at all, or a zero logrank variance
     medians = {
         arm.label: median_survival(km_estimate(arm)) for arm in dataset.arms
     }

@@ -19,6 +19,7 @@ from .core import (
     StudyMetadata,
     load_dataset,
     load_metadata,
+    read_json,
 )
 from .engines import ArmModel, ModelBuildError, build_model, canonical_engine, simulate
 from .evaluate import EvaluationResult, evaluate_dataset
@@ -287,8 +288,7 @@ def emit_reports(config: BenchmarkConfig, result: BenchmarkResult, outdir: str) 
 
 def load_config(path: str) -> BenchmarkConfig:
     """Read a benchmark-config JSON; study paths resolve relative to it."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p: str) -> str:

@@ -9,7 +9,6 @@ the count is adjusted until the output reproduces every risk-table row.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections.abc import Callable
@@ -17,7 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ArmData, ParseError, StudyDataset, arm_from_arrays, km_estimate
+from .core import (
+    ArmData,
+    ParseError,
+    StructureError,
+    StudyDataset,
+    arm_from_arrays,
+    km_estimate,
+    read_csv_rows,
+)
 
 ITERATION_CAP = 1000
 
@@ -334,8 +341,7 @@ def reconstruct_study(
 def _read_two_column_csv(
     path: str, header: tuple[str, str], value_parser
 ) -> list[tuple[float, float]]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = read_csv_rows(path)
     if not rows or tuple(rows[0]) != header:
         raise ParseError(f"{path} line 1: expected header {','.join(header)}")
     out = []
@@ -357,9 +363,7 @@ def load_digitized_arm(
     """Read one arm from its coordinate and risk-table CSV pair."""
     coords = _read_two_column_csv(coords_path, COORDS_HEADER, float)
     risk = _read_two_column_csv(risk_path, RISK_HEADER, int)
-    return DigitizedArm(
-        label=label,
-        coordinates=coords,
-        risk_table=[(t, int(n)) for t, n in risk],
-        total_events=total_events,
-    )
+    try:
+        return DigitizedArm(label=label, coordinates=coords, risk_table=risk, total_events=total_events)
+    except ValueError as exc:
+        raise StructureError(f"{coords_path}, {risk_path}: {exc}") from None

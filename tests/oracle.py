@@ -1,7 +1,10 @@
 """Implementations that the package replaced, kept as a reference.
 
 ``LatentPair`` and ``observe`` are the scalar observation rule that
-``observe_arrays`` vectorises. Most other functions repeat the per-step or
+``observe_arrays`` vectorises. ``evaluate_dataset`` and the statistics
+below it score a study the way the package used to, building one event
+table per statistic and recomputing Cox's beta-free terms at every Newton
+step. Most other functions repeat the per-step or
 per-subject loop the package used to run, working on plain Python values;
 the kde functions evaluate the whole kernel matrix of a proposal block at
 once, as the sampler used to, and ``run_benchmark`` keeps every
@@ -21,9 +24,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from scipy.special import erfc
+
 from survbench.core import ArmData, Observation, RandomStream, StudyDataset
 from survbench.engines import ModelBuildError, build_model, simulate
-from survbench.evaluate import evaluate_dataset
+from survbench.evaluate import (
+    COX_BETA_LIMIT,
+    COX_MAX_ITERATIONS,
+    COX_SCORE_TOL,
+    CoxResult,
+    DegenerateTestError,
+    EvaluationResult,
+    LogrankResult,
+    _build_event_table,
+)
 
 
 @dataclass(frozen=True)
@@ -103,6 +117,121 @@ def rmst_tau(dataset: StudyDataset) -> float:
 def efron_fracs(d: np.ndarray) -> np.ndarray:
     """The Efron correction steps 0, 1/k, ..., (k-1)/k of each tied group."""
     return np.concatenate([np.arange(k) / k for k in d.astype(int)])
+
+
+def logrank_test(dataset: StudyDataset) -> LogrankResult:
+    tab = _build_event_table(dataset)
+    n = tab.n1 + tab.n0
+    d = tab.d1 + tab.d0
+    expected = d * tab.n1 / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tie_factor = np.where(n > 1.0, (n - d) / (n - 1.0), 0.0)
+    variance = d * (tab.n1 / n) * (1.0 - tab.n1 / n) * tie_factor
+    observed = float(np.sum(tab.d1))
+    e_total = float(np.sum(expected))
+    v_total = float(np.sum(variance))
+    if v_total <= 0.0:
+        raise DegenerateTestError("logrank variance is zero for this dataset")
+    statistic = (observed - e_total) ** 2 / v_total
+    p_value = float(erfc(math.sqrt(statistic / 2.0)))
+    return LogrankResult(statistic, p_value, observed, e_total, v_total)
+
+
+def cox_terms(tab, ties: str) -> tuple[np.ndarray, ...]:
+    """(n1, n0, f1, f0, fracs, weights), one row per Efron correction step."""
+    d = tab.d1 + tab.d0
+    if ties == "breslow":
+        zeros = np.zeros(d.size)
+        return tab.n1, tab.n0, zeros, zeros, zeros, d
+    if ties != "efron":
+        raise ValueError(f"ties must be 'efron' or 'breslow', got {ties!r}")
+    reps = d.astype(int)
+    starts = np.cumsum(reps) - reps
+    fracs = (np.arange(reps.sum()) - np.repeat(starts, reps)) / np.repeat(reps, reps)
+    return (
+        np.repeat(tab.n1, reps), np.repeat(tab.n0, reps), np.repeat(tab.d1, reps),
+        np.repeat(tab.d0, reps), fracs, np.ones(fracs.size),
+    )
+
+
+def cox_loglik_parts(beta: float, terms, d1_total: float) -> tuple[float, float, float]:
+    n1, n0, f1, f0, fracs, weights = terms
+    r = math.exp(min(max(beta, -700.0), 700.0))
+    denom = (n0 - fracs * f0) + (n1 - fracs * f1) * r
+    numer = (n1 - fracs * f1) * r
+    u = numer / denom
+    ll = beta * d1_total - float(np.sum(weights * np.log(denom)))
+    score = d1_total - float(np.sum(weights * u))
+    hessian = -float(np.sum(weights * u * (1.0 - u)))
+    return ll, score, hessian
+
+
+def cox_partial_loglik(dataset: StudyDataset, beta: float, ties: str = "efron") -> float:
+    tab = _build_event_table(dataset)
+    return cox_loglik_parts(beta, cox_terms(tab, ties), float(np.sum(tab.d1)))[0]
+
+
+def cox_score(dataset: StudyDataset, beta: float, ties: str = "efron") -> float:
+    tab = _build_event_table(dataset)
+    return cox_loglik_parts(beta, cox_terms(tab, ties), float(np.sum(tab.d1)))[1]
+
+
+def cox_hazard_ratio(dataset: StudyDataset, ties: str = "efron") -> CoxResult:
+    tab = _build_event_table(dataset)
+    d1_total = float(np.sum(tab.d1))
+    terms = cox_terms(tab, ties)
+    beta = 0.0
+    ll, score, hessian = cox_loglik_parts(beta, terms, d1_total)
+    iterations = 0
+    for iterations in range(1, COX_MAX_ITERATIONS + 1):
+        if abs(score) < COX_SCORE_TOL and abs(beta) <= COX_BETA_LIMIT:
+            return CoxResult(math.exp(beta), beta, True, iterations - 1)
+        if hessian >= -1e-300:
+            break
+        step = -score / hessian
+        new_beta = beta + step
+        new_ll, new_score, new_hessian = cox_loglik_parts(new_beta, terms, d1_total)
+        halvings = 0
+        while new_ll < ll - 1e-12 and halvings < 40:
+            step *= 0.5
+            new_beta = beta + step
+            new_ll, new_score, new_hessian = cox_loglik_parts(new_beta, terms, d1_total)
+            halvings += 1
+        beta, ll, score, hessian = new_beta, new_ll, new_score, new_hessian
+        if abs(beta) > COX_BETA_LIMIT:
+            break
+    return CoxResult(None, None, False, iterations)
+
+
+def tie_ratio(dataset: StudyDataset) -> float:
+    times = np.concatenate([arm.times() for arm in dataset.arms])
+    _, inverse, counts = np.unique(times, return_inverse=True, return_counts=True)
+    return float(np.count_nonzero(counts[inverse] > 1)) / times.size
+
+
+def evaluate_dataset(dataset: StudyDataset) -> EvaluationResult:
+    """Every statistic of a study, with one event table per statistic."""
+    try:
+        lr = logrank_test(dataset)
+        statistic, p_value = lr.statistic, lr.p_value
+    except DegenerateTestError:
+        statistic, p_value = None, None
+    try:
+        hazard_ratio = cox_hazard_ratio(dataset).hazard_ratio
+    except DegenerateTestError:
+        hazard_ratio = None
+    steps = [km_steps(arm.times(), arm.statuses()) for arm in dataset.arms]
+    medians = {arm.label: median_survival(s) for arm, s in zip(dataset.arms, steps)}
+    tau = rmst_tau(dataset)
+    return EvaluationResult(
+        logrank_statistic=statistic,
+        logrank_p=p_value,
+        hazard_ratio=hazard_ratio,
+        medians=medians,
+        tau=tau,
+        rmstd=rmst_from_steps(steps[0], tau) - rmst_from_steps(steps[1], tau) if tau > 0.0 else None,
+        tie_ratio=tie_ratio(dataset),
+    )
 
 
 def case_resample(source: ArmData, n_out: int, gen: np.random.Generator) -> tuple[Observation, ...]:

@@ -224,6 +224,12 @@ class TestDatasetCsv:
         with pytest.raises(ParseError, match="line 3: time must be finite and >= 0"):
             load_dataset(str(path))
 
+    def test_undecodable_byte_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"arm,time,status\nA,1.0,1\nB,2.\xff,0\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path} line 3: not UTF-8 text")):
+            load_dataset(str(path))
+
     def test_single_arm_is_a_structure_error(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("arm,time,status\nA,1.0,1\nA,2.0,0\n")
@@ -255,6 +261,12 @@ class TestMetadataJson:
         path = tmp_path / "meta.json"
         store_metadata(meta, str(path))
         assert load_metadata(str(path)) == meta
+
+    def test_truncated_json_names_the_file_line_and_column(self, tmp_path):
+        path = tmp_path / "meta.json"
+        path.write_text('{"study_id": "x", ')
+        with pytest.raises(ParseError, match=re.escape(f"{path} line 1 column 19: Expecting property name")):
+            load_metadata(str(path))
 
     def test_rejects_out_of_range_p(self):
         with pytest.raises(ValueError):

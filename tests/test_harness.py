@@ -10,6 +10,7 @@ import pytest
 from survbench.core import (
     ArmData,
     Observation,
+    ParseError,
     StudyDataset,
     StructureError,
     StudyMetadata,
@@ -388,6 +389,12 @@ class TestLoadConfig:
         assert config.iterations == 10000
         assert config.base_seed == 0
         assert config.workers == 1
+
+    def test_malformed_json_names_the_file_line_and_column(self, tmp_path):
+        config_path = tmp_path / "bench.json"
+        config_path.write_text('{\n  "engines": ["case"],\n  "studies": [\n')
+        with pytest.raises(ParseError, match="bench.json line 4 column 1: Expecting value"):
+            load_config(str(config_path))
 
     @pytest.mark.parametrize("missing", ["studies", "engines", "dataset", "metadata"])
     def test_missing_key_names_the_file_and_the_key(self, tmp_path, missing):

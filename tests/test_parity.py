@@ -6,6 +6,7 @@ sum and random draw, so any difference is a defect, not rounding.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 
@@ -42,11 +43,17 @@ from survbench.engines import (
     silverman_bandwidth,
 )
 from survbench.evaluate import (
+    DegenerateTestError,
     _build_event_table,
     _cox_terms,
+    cox_hazard_ratio,
+    cox_partial_loglik,
+    cox_score,
     evaluate_dataset,
+    logrank_test,
     rmst_from_curve,
     rmst_tau,
+    tie_ratio,
 )
 from survbench.harness import BenchmarkConfig, StudyRecord, run_benchmark
 
@@ -127,8 +134,40 @@ def test_rmst_tau_and_efron_terms_match_the_loop(dataset):
     if not any(arm.statuses().any() for arm in dataset.arms):
         return
     tab = _build_event_table(dataset)
-    fracs = _cox_terms(tab, "efron")[4]
+    n1, n0, f1, f0, fracs, weights = oracle.cox_terms(tab, "efron")
     assert np.array_equal(fracs, oracle.efron_fracs(tab.d1 + tab.d0))
+    a1, a0, hoisted_weights = _cox_terms(tab, "efron")
+    assert np.array_equal(a1, n1 - fracs * f1) and np.array_equal(a0, n0 - fracs * f0)
+    assert np.array_equal(hoisted_weights, weights)
+
+
+def _study(pairs_a, pairs_b):
+    arms = (arm_from_arrays(label, *np.array(pairs, dtype=float).T) for label, pairs in zip("AB", (pairs_a, pairs_b)))
+    return StudyDataset(tuple(arms))
+
+
+def _outcome(statistic, *args):
+    try:
+        return repr(statistic(*args))
+    except DegenerateTestError as exc:
+        return f"undefined: {exc}"
+
+
+@settings(deadline=None)
+@given(studies())
+@example(_study([(1.0, 0), (2.0, 0)], [(0.0, 0), (3.0, 0)]))  # no events
+@example(_study([(0.0, 0), (2.0, 1), (3.0, 1)], [(0.0, 1), (1.0, 1), (1.5, 1)]))  # tau = 0
+@example(_study([(1.0, 1)], [(1.0, 1)]))  # zero logrank variance
+@example(_study([(0.0, 1)] * 3 + [(1.0, 1)] * 4, [(0.0, 1)] * 2 + [(1.0, 1)] * 5))  # heavy ties at zero
+def test_shared_event_table_matches_one_table_per_statistic(dataset):
+    assert json.dumps(evaluate_dataset(dataset).to_json()) == json.dumps(oracle.evaluate_dataset(dataset).to_json())
+    assert _outcome(logrank_test, dataset) == _outcome(oracle.logrank_test, dataset)
+    assert tie_ratio(dataset) == oracle.tie_ratio(dataset)
+    for ties in ("efron", "breslow"):
+        assert _outcome(cox_hazard_ratio, dataset, ties) == _outcome(oracle.cox_hazard_ratio, dataset, ties)
+        for beta in (-4.0, -0.5, 0.0, 0.3, 2.5):
+            for new, old in ((cox_partial_loglik, oracle.cox_partial_loglik), (cox_score, oracle.cox_score)):
+                assert _outcome(new, dataset, beta, ties) == _outcome(old, dataset, beta, ties)
 
 
 @settings(deadline=None)

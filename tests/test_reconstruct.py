@@ -1,9 +1,11 @@
 """Curve-to-data reconstruction: round trips, calibration, infeasible inputs."""
 
+import re
+
 import numpy as np
 import pytest
 
-from survbench.core import ParseError, km_estimate, median_survival
+from survbench.core import ParseError, StructureError, km_estimate, median_survival
 from survbench.evaluate import logrank_test, tie_ratio
 from survbench.reconstruct import (
     DigitizedArm,
@@ -236,6 +238,19 @@ class TestCsvLoading:
         coords = self.write(tmp_path / "c.csv", "time,survival\n0.0,1.0\n1.0,half\n")
         risk = self.write(tmp_path / "r.csv", "time,n_risk\n0,10\n")
         with pytest.raises(ParseError, match="line 3"):
+            load_digitized_arm("A", coords, risk)
+
+    def test_undecodable_byte_names_the_file_and_line(self, tmp_path):
+        coords = self.write(tmp_path / "c.csv", "time,survival\n0.0,1.0\n")
+        risk = tmp_path / "r.csv"
+        risk.write_bytes(b"time,n_risk\n0,10\n\xff2,4\n")
+        with pytest.raises(ParseError, match="r.csv line 3: not UTF-8 text"):
+            load_digitized_arm("A", coords, str(risk))
+
+    def test_structural_error_names_both_files(self, tmp_path):
+        coords = self.write(tmp_path / "c.csv", "time,survival\n0.0,1.0\n1.0,0.5\n")
+        risk = self.write(tmp_path / "r.csv", "time,n_risk\n0,10\n0,8\n")
+        with pytest.raises(StructureError, match=re.escape(f"{coords}, {risk}: arm 'A': risk times must be strictly increasing")):
             load_digitized_arm("A", coords, risk)
 
     def test_empty_data_rejected(self, tmp_path):
