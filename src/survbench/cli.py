@@ -7,11 +7,11 @@ import json
 import sys
 from dataclasses import replace
 
-from .core import RandomStream, StudyDataset, load_dataset, read_json, store_dataset
+from .core import RandomStream, StudyDataset, load_dataset, store_dataset
 from .engines import build_model, model_summary, simulate
 from .evaluate import evaluate_dataset, store_evaluation
 from .harness import load_config, run_benchmark
-from .reconstruct import load_digitized_arm, reconstruct_study
+from .reconstruct import load_digitized_arm, load_event_totals, reconstruct_study
 
 
 def _labeled_paths(parser: argparse.ArgumentParser, spec: str, flag: str) -> list[tuple[str, str]]:
@@ -31,9 +31,7 @@ def _cmd_reconstruct(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     risk = dict(_labeled_paths(parser, args.risk, "--risk"))
     if set(risk) != {label for label, _ in coords}:
         parser.error("--coords and --risk must name the same arm labels")
-    totals: dict[str, int] = {}
-    if args.meta:
-        totals = {str(k): int(v) for k, v in read_json(args.meta).items() if v is not None}
+    totals = load_event_totals(args.meta) if args.meta else {}
     arms = tuple(
         load_digitized_arm(label, coords_path, risk[label], totals.get(label))
         for label, coords_path in coords
@@ -101,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = sub.add_parser("reconstruct", help="rebuild patient data from digitized curves")
     p_rec.add_argument("--coords", required=True, help="label=coords.csv,label=coords.csv")
     p_rec.add_argument("--risk", required=True, help="label=risk.csv,label=risk.csv")
-    p_rec.add_argument("--meta", help="JSON mapping arm label to total event count")
+    p_rec.add_argument("--meta", help="JSON object mapping arm label to total event count (integer >= 0 or null)")
     p_rec.add_argument("--study-id", default=None)
     p_rec.add_argument("--out", required=True, help="output dataset CSV")
     p_rec.add_argument("--report", required=True, help="output quality-report JSON")

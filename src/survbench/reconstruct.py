@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -24,6 +26,7 @@ from .core import (
     arm_from_arrays,
     km_estimate,
     read_csv_rows,
+    read_json,
 )
 
 ITERATION_CAP = 1000
@@ -59,7 +62,7 @@ class DigitizedArm:
                 raise ValueError(f"arm {self.label!r}: bad risk time {t}")
             if t <= prev_t:
                 raise ValueError(f"arm {self.label!r}: risk times must be strictly increasing")
-            if int(n) != n or n < 1:
+            if not _is_positive_count(n):
                 raise ValueError(f"arm {self.label!r}: n_at_risk must be a positive integer")
             prev_t = t
         self.risk_table = [(float(t), int(n)) for t, n in self.risk_table]
@@ -67,8 +70,22 @@ class DigitizedArm:
             raise ValueError(
                 f"arm {self.label!r}: first risk time must not exceed the first coordinate"
             )
-        if self.total_events is not None and (self.total_events < 0):
-            raise ValueError(f"arm {self.label!r}: total_events must be >= 0")
+        if self.total_events is not None:
+            self.total_events = _check_event_total(self.label, self.total_events)
+
+
+def _is_positive_count(n) -> bool:
+    try:
+        return int(n) == n and n >= 1
+    except (OverflowError, ValueError):  # inf, nan
+        return False
+
+
+def _check_event_total(label: str, total) -> int:
+    """A published event total: a non-negative integer (bools are not counts)."""
+    if isinstance(total, bool) or not isinstance(total, numbers.Integral) or total < 0:
+        raise ValueError(f"arm {label!r}: total_events must be an integer >= 0, got {total!r}")
+    return int(total)
 
 
 def _monotonize(coords: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -76,9 +93,12 @@ def _monotonize(coords: list[tuple[float, float]]) -> list[tuple[float, float]]:
     cleaned: dict[float, float] = {}
     for t, s in coords:
         t = float(t)
-        s = float(np.clip(s, 0.0, 1.0))
         if not math.isfinite(t) or t < 0.0:
             raise ValueError(f"bad coordinate time {t}")
+        s = float(s)
+        if math.isnan(s):
+            raise ValueError(f"bad coordinate survival {s} at time {t}")
+        s = min(max(s, 0.0), 1.0)  # keeps -0.0, as np.clip does
         cleaned[t] = min(s, cleaned.get(t, 1.0))
     out: list[tuple[float, float]] = []
     running = 1.0
@@ -217,8 +237,14 @@ def _reconcile(
 
 
 def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
-    """Rebuild one arm's observations from its digitized inputs."""
+    """Rebuild one arm's observations from its digitized inputs.
+
+    The click times are strictly increasing (``_monotonize``), so each
+    interval's clicks, and the survival just before its end, are found by
+    bisection rather than by scanning every click.
+    """
     coords = arm.coordinates
+    click_times = [t for t, _ in coords]
     risk = arm.risk_table
     event_times: list[float] = []
     event_counts: list[int] = []
@@ -227,31 +253,22 @@ def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
     surv = 1.0
     converged = True
     iterations_total = 0
-
-    def clicks_between(lo: float, hi: float) -> list[tuple[float, float]]:
-        return [(t, s) for t, s in coords if lo <= t < hi]
-
-    def survival_before(t: float) -> float:
-        out = 1.0
-        for ct, cs in coords:
-            if ct >= t:
-                break
-            out = cs
-        return out
+    lo = bisect_left(click_times, risk[0][0])  # first click at or after t_start
 
     for j in range(len(risk) - 1):
         t_start, published_start = risk[j]
         t_end, published_end = risk[j + 1]
-        name = f"[{t_start}, {t_end})"
         if published_end > published_start:
             raise InfeasibleCurveError(
-                f"interval {name}: published at-risk rises from "
+                f"interval [{t_start}, {t_end}): published at-risk rises from "
                 f"{published_start} to {published_end}"
             )
+        hi = bisect_left(click_times, t_end)  # first click at or after t_end
         # start from the censor count the published survival implies
-        implied = int(round(n_cur * survival_before(t_end) / surv)) if surv > 0.0 else 0
+        surv_before_end = coords[hi - 1][1] if hi else 1.0
+        implied = int(round(n_cur * surv_before_end / surv)) if surv > 0.0 else 0
         result, ok, used = _reconcile(
-            clicks_between(t_start, t_end),
+            coords[lo:hi],
             t_start,
             t_end,
             n_cur,
@@ -259,6 +276,7 @@ def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
             min(max(implied - published_end, 0), n_cur),
             lambda r: r.n_end - published_end,
         )
+        lo = hi
         converged = converged and ok
         iterations_total += used
         for t, d in result.events:
@@ -270,8 +288,8 @@ def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
 
     # tail past the last risk row
     t_last = risk[-1][0]
-    tail_clicks = [(t, s) for t, s in coords if t >= t_last]
-    t_end_time = max([t for t, _ in coords] + [t_last])
+    tail_clicks = coords[lo:]
+    t_end_time = max(click_times[-1], t_last)
     if arm.total_events is None:
         result, ok, used = _pass_interval(tail_clicks, [], n_cur, surv), True, 1
     else:
@@ -297,16 +315,20 @@ def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
     times = np.concatenate((np.repeat(np.array(event_times, float), event_counts), censor_times))
     status = np.repeat((1, 0), (sum(event_counts), len(censor_times)))
     order = np.lexsort((-status, times))  # by time, events first
-    rebuilt = arm_from_arrays(arm.label, times[order], status[order])
+    times = times[order]
+    rebuilt = arm_from_arrays(arm.label, times, status[order])
 
     achieved_events = int(sum(event_counts))
-    risk_rows = [
-        (t, n, int(np.count_nonzero(times >= t))) for t, n in risk
-    ]
+    at_risk = times.size - np.searchsorted(times, [t for t, _ in risk], side="left")
+    risk_rows = [(t, n, int(got)) for (t, n), got in zip(risk, at_risk)]
     rows_ok = all(pub == got for _, pub, got in risk_rows)
     events_ok = arm.total_events is None or achieved_events == arm.total_events
     curve = km_estimate(rebuilt)
-    deviation = max(abs(curve.survival_at(t) - s) for t, s in coords)
+    # the curve read at each click, as KmCurve.survival_at reads it
+    read = np.concatenate(([1.0], curve.survival))[
+        np.searchsorted(curve.time, click_times, side="right")
+    ]
+    deviation = np.max(np.abs(read - [s for _, s in coords]))
     report = ArmReport(
         label=arm.label,
         n_observations=len(rebuilt),
@@ -338,6 +360,14 @@ def reconstruct_study(
     return StudyDataset((rebuilt[0], rebuilt[1])), report
 
 
+def _finite_float(text: str) -> float:
+    """A float that is neither nan nor infinite; anything else raises ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def _read_two_column_csv(
     path: str, header: tuple[str, str], value_parser
 ) -> list[tuple[float, float]]:
@@ -349,7 +379,7 @@ def _read_two_column_csv(
         if len(row) != 2:
             raise ParseError(f"{path} line {lineno}: expected 2 fields, got {len(row)}")
         try:
-            out.append((float(row[0]), value_parser(row[1])))
+            out.append((_finite_float(row[0]), value_parser(row[1])))
         except ValueError:
             raise ParseError(f"{path} line {lineno}: bad row {row!r}") from None
     if not out:
@@ -361,9 +391,23 @@ def load_digitized_arm(
     label: str, coords_path: str, risk_path: str, total_events: int | None = None
 ) -> DigitizedArm:
     """Read one arm from its coordinate and risk-table CSV pair."""
-    coords = _read_two_column_csv(coords_path, COORDS_HEADER, float)
+    coords = _read_two_column_csv(coords_path, COORDS_HEADER, _finite_float)
     risk = _read_two_column_csv(risk_path, RISK_HEADER, int)
     try:
         return DigitizedArm(label=label, coordinates=coords, risk_table=risk, total_events=total_events)
     except ValueError as exc:
         raise StructureError(f"{coords_path}, {risk_path}: {exc}") from None
+
+
+def load_event_totals(path: str) -> dict[str, int | None]:
+    """Read a JSON object mapping arm label to event total (``null``: unconstrained)."""
+    totals = read_json(path)
+    if not isinstance(totals, dict):
+        raise StructureError(f"{path}: expected a JSON object mapping arm label to event total")
+    try:
+        return {
+            label: None if total is None else _check_event_total(label, total)
+            for label, total in totals.items()
+        }
+    except ValueError as exc:
+        raise StructureError(f"{path}: {exc}") from None

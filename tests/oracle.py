@@ -9,7 +9,9 @@ per-subject loop the package used to run, working on plain Python values;
 the kde functions evaluate the whole kernel matrix of a proposal block at
 once, as the sampler used to, and ``run_benchmark`` keeps every
 iteration's metrics before pivoting them into series, as the harness used
-to.
+to. ``monotonize`` and ``reconstruct_arm`` clean and rebuild a digitized
+arm by scanning every click for every risk interval, as reconstruction
+used to.
 ``test_parity.py`` requires the package to agree with them exactly, so a
 rewrite that reorders arithmetic or random draws shows up as a failure
 rather than as a drift in the last digit.
@@ -26,7 +28,14 @@ import numpy as np
 
 from scipy.special import erfc
 
-from survbench.core import ArmData, Observation, RandomStream, StudyDataset
+from survbench.core import (
+    ArmData,
+    Observation,
+    RandomStream,
+    StudyDataset,
+    arm_from_arrays,
+    km_estimate,
+)
 from survbench.engines import ModelBuildError, build_model, simulate
 from survbench.evaluate import (
     COX_BETA_LIMIT,
@@ -37,6 +46,12 @@ from survbench.evaluate import (
     EvaluationResult,
     LogrankResult,
     _build_event_table,
+)
+from survbench.reconstruct import (
+    ArmReport,
+    InfeasibleCurveError,
+    _pass_interval,
+    _reconcile,
 )
 
 
@@ -408,3 +423,118 @@ def run_benchmark(config) -> tuple[dict, dict, dict]:
                     else:
                         values[(sid, engine, metric)].append((i, sim))
     return values, undefined, seconds
+
+
+def monotonize(coords: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Sort by time, collapse duplicate times and force survival downhill."""
+    cleaned: dict[float, float] = {}
+    for t, s in coords:
+        t = float(t)
+        s = float(np.clip(s, 0.0, 1.0))
+        if not math.isfinite(t) or t < 0.0:
+            raise ValueError(f"bad coordinate time {t}")
+        cleaned[t] = min(s, cleaned.get(t, 1.0))
+    out: list[tuple[float, float]] = []
+    running = 1.0
+    for t in sorted(cleaned):
+        running = min(running, cleaned[t])
+        out.append((t, running))
+    return out
+
+
+def reconstruct_arm(arm) -> tuple[ArmData, ArmReport]:
+    """Rebuild one digitized arm, scanning every click for every interval."""
+    coords = arm.coordinates
+    risk = arm.risk_table
+    event_times: list[float] = []
+    event_counts: list[int] = []
+    censor_times: list[float] = []
+    n_cur = risk[0][1]
+    surv = 1.0
+    converged = True
+    iterations_total = 0
+
+    def clicks_between(lo: float, hi: float) -> list[tuple[float, float]]:
+        return [(t, s) for t, s in coords if lo <= t < hi]
+
+    def survival_before(t: float) -> float:
+        out = 1.0
+        for ct, cs in coords:
+            if ct >= t:
+                break
+            out = cs
+        return out
+
+    for j in range(len(risk) - 1):
+        t_start, published_start = risk[j]
+        t_end, published_end = risk[j + 1]
+        name = f"[{t_start}, {t_end})"
+        if published_end > published_start:
+            raise InfeasibleCurveError(
+                f"interval {name}: published at-risk rises from "
+                f"{published_start} to {published_end}"
+            )
+        implied = int(round(n_cur * survival_before(t_end) / surv)) if surv > 0.0 else 0
+        result, ok, used = _reconcile(
+            clicks_between(t_start, t_end),
+            t_start,
+            t_end,
+            n_cur,
+            surv,
+            min(max(implied - published_end, 0), n_cur),
+            lambda r: r.n_end - published_end,
+        )
+        converged = converged and ok
+        iterations_total += used
+        for t, d in result.events:
+            event_times.append(t)
+            event_counts.append(d)
+        censor_times.extend(result.censor_times)
+        n_cur = result.n_end
+        surv = result.surv_end
+
+    t_last = risk[-1][0]
+    tail_clicks = [(t, s) for t, s in coords if t >= t_last]
+    t_end_time = max([t for t, _ in coords] + [t_last])
+    if arm.total_events is None:
+        result, ok, used = _pass_interval(tail_clicks, [], n_cur, surv), True, 1
+    else:
+        target_tail = max(arm.total_events - sum(event_counts), 0)
+        result, ok, used = _reconcile(
+            tail_clicks,
+            t_last,
+            t_end_time,
+            n_cur,
+            surv,
+            0,
+            lambda r: sum(d for _, d in r.events) - target_tail,
+        )
+    iterations_total += used
+    for t, d in result.events:
+        event_times.append(t)
+        event_counts.append(d)
+    censor_times.extend(result.censor_times)
+    censor_times.extend([t_end_time] * result.n_end)
+
+    times = np.concatenate((np.repeat(np.array(event_times, float), event_counts), censor_times))
+    status = np.repeat((1, 0), (sum(event_counts), len(censor_times)))
+    order = np.lexsort((-status, times))
+    rebuilt = arm_from_arrays(arm.label, times[order], status[order])
+
+    achieved_events = int(sum(event_counts))
+    risk_rows = [(t, n, int(np.count_nonzero(times >= t))) for t, n in risk]
+    rows_ok = all(pub == got for _, pub, got in risk_rows)
+    events_ok = arm.total_events is None or achieved_events == arm.total_events
+    curve = km_estimate(rebuilt)
+    deviation = max(abs(curve.survival_at(t) - s) for t, s in coords)
+    report = ArmReport(
+        label=arm.label,
+        n_observations=len(rebuilt),
+        max_survival_deviation=float(deviation),
+        risk_rows=risk_rows,
+        total_events_target=arm.total_events,
+        achieved_total_events=achieved_events,
+        converged=converged and ok and rows_ok and events_ok,
+        iterations=iterations_total,
+    )
+    return rebuilt, report

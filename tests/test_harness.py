@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -476,6 +477,34 @@ class TestCli:
         assert [len(a) for a in rebuilt.arms] == [30, 30]
         report = json.loads(report_path.read_text())
         assert set(report["arms"]) == {"A", "B"}
+
+    @pytest.mark.parametrize(
+        "meta, message",
+        [
+            ('{"A": 2.5}', "arm 'A': total_events must be an integer >= 0, got 2.5"),
+            ('{"A": true}', "arm 'A': total_events must be an integer >= 0, got True"),
+            ('{"A": "x"}', "arm 'A': total_events must be an integer >= 0, got 'x'"),
+            ('{"A": -4}', "arm 'A': total_events must be an integer >= 0, got -4"),
+            ("[1, 2]", "expected a JSON object"),
+        ],
+    )
+    def test_reconstruct_rejects_bad_event_totals(self, tmp_path, meta, message):
+        for label in "AB":
+            (tmp_path / f"c{label}.csv").write_text("time,survival\n0.0,1.0\n1.0,0.5\n")
+            (tmp_path / f"r{label}.csv").write_text("time,n_risk\n0,10\n")
+        meta_path = tmp_path / "totals.json"
+        meta_path.write_text(meta)
+        with pytest.raises(StructureError, match=re.escape(f"{meta_path}: {message}")):
+            main(
+                [
+                    "reconstruct",
+                    "--coords", f"A={tmp_path / 'cA.csv'},B={tmp_path / 'cB.csv'}",
+                    "--risk", f"A={tmp_path / 'rA.csv'},B={tmp_path / 'rB.csv'}",
+                    "--meta", str(meta_path),
+                    "--out", str(tmp_path / "o.csv"),
+                    "--report", str(tmp_path / "r.json"),
+                ]
+            )
 
     def test_reconstruct_rejects_malformed_arm_spec(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -56,6 +57,7 @@ from survbench.evaluate import (
     tie_ratio,
 )
 from survbench.harness import BenchmarkConfig, StudyRecord, run_benchmark
+from survbench.reconstruct import DigitizedArm, InfeasibleCurveError, reconstruct_arm
 
 from helpers import synth_study
 
@@ -341,3 +343,50 @@ def test_folded_benchmark_matches_the_two_phase_loop():
         assert result.diffs.undefined == undefined
         counts = {key: len(v) for key, v in result.runtimes.seconds.items()}
         assert counts == {key: len(v) for key, v in seconds.items()}
+
+
+# digitized arms: click times shared with the risk grid (clicks on risk
+# times, duplicates, -0.0) or free; survival outside [0, 1] and -0.0
+_click_time = st.integers(0, 24).map(lambda k: k * 0.5) | st.floats(0.0, 13.0) | st.just(-0.0)
+_click_survival = st.floats(-0.2, 1.2) | st.sampled_from((0.0, -0.0, 1.0))
+
+
+@st.composite
+def digitized_inputs(draw):
+    """(coordinates, risk table, total, drop the first risk row after checking)."""
+    clicks = draw(st.lists(st.tuples(_click_time, _click_survival), min_size=1, max_size=40))
+    if draw(st.booleans()):  # a falling curve; otherwise it may rise anywhere
+        survival = sorted((s for _, s in clicks), reverse=True)
+        clicks = [(t, s) for (t, _), s in zip(sorted(clicks), survival)]
+    n = draw(st.integers(1, 60))
+    rising = draw(st.sampled_from((False, False, False, True)))  # an infeasible table
+    rows = [(draw(st.sampled_from((0.0, -0.0))), n)]
+    for k in sorted(set(draw(st.lists(st.integers(1, 20), max_size=8)))):
+        n = draw(st.integers(1, n + rising))
+        rows.append((k * 0.5, n))
+    total = draw(st.one_of(st.none(), st.integers(0, rows[0][1]), st.integers(rows[0][1] + 1, 80)))
+    # a caller may shorten a checked table, leaving clicks before its first time
+    drop_first = len(rows) > 1 and draw(st.booleans())
+    return clicks, rows, total, drop_first
+
+
+@settings(deadline=None, max_examples=300)
+@given(digitized_inputs())
+@example(([(0.0, 1.0), (1.0, 0.6), (1.0, 0.5), (2.0, 0.5), (9.0, 0.2)], [(0.0, 10), (1.0, 10), (2.0, 5)], 6, False))
+@example(([(-0.0, -0.0), (0.5, 1.2)], [(0.0, 3), (0.5, 3)], None, True))
+def test_bisected_reconstruction_matches_the_scanning_loop(inputs):
+    clicks, rows, total, drop_first = inputs
+    arm = DigitizedArm("A", clicks, rows, total)
+    assert repr(arm.coordinates) == repr(oracle.monotonize(clicks))
+    if drop_first:
+        arm.risk_table = arm.risk_table[1:]
+    try:
+        expected_arm, expected_report = oracle.reconstruct_arm(arm)
+    except InfeasibleCurveError as exc:
+        with pytest.raises(InfeasibleCurveError, match=re.escape(str(exc))):
+            reconstruct_arm(arm)
+        return
+    rebuilt, report = reconstruct_arm(arm)
+    assert rebuilt.times().tobytes() == expected_arm.times().tobytes()
+    assert rebuilt.statuses().tobytes() == expected_arm.statuses().tobytes()
+    assert json.dumps(report.to_json()) == json.dumps(expected_report.to_json())

@@ -55,6 +55,20 @@ class TestDigitizedArmValidation:
         with pytest.raises(ValueError, match="total_events"):
             DigitizedArm("A", [(0.0, 1.0)], [(0.0, 10)], total_events=-1)
 
+    @pytest.mark.parametrize("total", [2.5, 2.0, True, "3"])
+    def test_non_integer_total_events_rejected(self, total):
+        with pytest.raises(ValueError, match="total_events must be an integer >= 0"):
+            DigitizedArm("A", [(0.0, 1.0)], [(0.0, 10)], total_events=total)
+
+    def test_nan_survival_rejected(self):
+        with pytest.raises(ValueError, match="bad coordinate survival nan at time 1.0"):
+            DigitizedArm("A", [(0.0, 1.0), (1.0, float("nan")), (2.0, 0.5)], [(0.0, 10)])
+
+    @pytest.mark.parametrize("count", [float("inf"), float("nan")])
+    def test_non_finite_risk_count_rejected(self, count):
+        with pytest.raises(ValueError, match="n_at_risk must be a positive integer"):
+            DigitizedArm("A", [(0.0, 1.0)], [(0.0, 10), (1.0, count)])
+
 
 class TestExactRoundTrip:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -238,6 +252,22 @@ class TestCsvLoading:
         coords = self.write(tmp_path / "c.csv", "time,survival\n0.0,1.0\n1.0,half\n")
         risk = self.write(tmp_path / "r.csv", "time,n_risk\n0,10\n")
         with pytest.raises(ParseError, match="line 3"):
+            load_digitized_arm("A", coords, risk)
+
+    @pytest.mark.parametrize(
+        "coords_row, risk_row, bad_file",
+        [
+            ("1.0,nan", "2,4", "c.csv"),
+            ("1.0,inf", "2,4", "c.csv"),
+            ("nan,0.5", "2,4", "c.csv"),
+            ("-inf,0.5", "2,4", "c.csv"),
+            ("1.0,0.5", "nan,4", "r.csv"),
+        ],
+    )
+    def test_non_finite_value_names_the_file_and_line(self, tmp_path, coords_row, risk_row, bad_file):
+        coords = self.write(tmp_path / "c.csv", f"time,survival\n0.0,1.0\n{coords_row}\n")
+        risk = self.write(tmp_path / "r.csv", f"time,n_risk\n0,10\n{risk_row}\n")
+        with pytest.raises(ParseError, match=f"{bad_file} line 3: bad row"):
             load_digitized_arm("A", coords, risk)
 
     def test_undecodable_byte_names_the_file_and_line(self, tmp_path):
