@@ -31,7 +31,7 @@ def _cmd_reconstruct(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     risk = dict(_labeled_paths(parser, args.risk, "--risk"))
     if set(risk) != {label for label, _ in coords}:
         parser.error("--coords and --risk must name the same arm labels")
-    totals = load_event_totals(args.meta) if args.meta else {}
+    totals = load_event_totals(args.meta, [label for label, _ in coords]) if args.meta else {}
     arms = tuple(
         load_digitized_arm(label, coords_path, risk[label], totals.get(label))
         for label, coords_path in coords
@@ -47,6 +47,14 @@ def _cmd_reconstruct(parser: argparse.ArgumentParser, args: argparse.Namespace) 
             f"max curve deviation {arm_report.max_survival_deviation:.4g}, {state}"
         )
     return 0
+
+
+def _seed(text: str) -> int:
+    """A --seed value: an integer in [0, 2**64), the range RandomStream takes."""
+    try:
+        return RandomStream(int(text), 0).seed
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -110,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--input", required=True, help="source dataset CSV")
     p_sim.add_argument("--n-per-arm", default="source", help="integer or 'source'")
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_seed, default=0, help="integer in [0, 2**64)")
     p_sim.add_argument("--out", required=True, help="output dataset CSV")
     p_sim.add_argument("--model-summary", help="optional JSON dump of the fitted models")
 

@@ -222,20 +222,33 @@ class KmCurve:
         return float(self.survival[i - 1]) if i else 1.0
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values in a sorted array."""
+    return np.concatenate(([True], values[1:] != values[:-1]))[: values.size].nonzero()[0]
+
+
 def km_from_arrays(times: np.ndarray, status: np.ndarray) -> KmCurve:
     """Kaplan-Meier estimate from the columns of a checked arm.
 
-    The curve is not checked again: ``unique``, ``searchsorted`` and
+    The curve is not checked again: sorting, ``searchsorted`` and
     ``cumprod`` make it valid for any arm's columns. At each distinct event
     time t the at-risk count is the number of observations with time >= t,
     so subjects censored exactly at t are still counted as at risk there.
     The running product multiplies the factors in time order, as a
     step-by-step loop would.
     """
-    event_times, event_counts = np.unique(times[status == 1], return_counts=True)
-    at_risk = times.size - np.searchsorted(np.sort(times), event_times, side="left")
+    events = times[status == 1]
+    events.sort()
+    starts = _run_starts(events)
+    event_times = events[starts]
+    event_counts = events.searchsorted(event_times, side="right") - starts
+    at_risk = times.size - np.sort(times).searchsorted(event_times, side="left")
+    survival = (1.0 - event_counts / at_risk).cumprod()
+    for column in (event_times, at_risk, event_counts, survival):
+        column.flags.writeable = False  # each is a fresh array of the column's dtype
     curve = KmCurve.__new__(KmCurve)
-    curve._set_columns(event_times, at_risk, event_counts, np.cumprod(1.0 - event_counts / at_risk))
+    curve.time, curve.at_risk, curve.events, curve.survival = event_times, at_risk, event_counts, survival
+    curve._steps = None
     return curve
 
 
@@ -245,7 +258,7 @@ def km_estimate(arm: ArmData) -> KmCurve:
 
 def median_survival(curve: KmCurve) -> float | None:
     """Smallest step time where survival falls to 0.5 or below, if any."""
-    reached = np.flatnonzero(curve.survival <= 0.5)
+    reached = (curve.survival <= 0.5).nonzero()[0]
     return float(curve.time[reached[0]]) if reached.size else None
 
 
@@ -265,7 +278,7 @@ class RandomStream:
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a u64, got {self.seed}")
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.stream_id < 0:
             raise ValueError(f"stream_id must be >= 0, got {self.stream_id}")
 

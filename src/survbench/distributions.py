@@ -142,9 +142,10 @@ def _cauchy_logpdf(x, location, scale):
 def _mixture_logpdf(x, wshape, wscale, nmean, nsd):
     x = np.asarray(x, dtype=float)
     norm_part = math.log(MIXTURE_NORMAL_WEIGHT) + _norm_logpdf(x, nmean, nsd)
-    weib_part = np.full_like(norm_part, -np.inf)
     pos = x > 0.0
-    if np.any(pos):
+    if pos.all():  # the Weibull part is defined everywhere, so there is nothing to mask
+        weib_part = math.log(MIXTURE_WEIBULL_WEIGHT) + _weibull_logpdf(x, wshape, wscale)
+    else:
         weib_part = np.where(
             pos,
             math.log(MIXTURE_WEIBULL_WEIGHT) + _weibull_logpdf(np.where(pos, x, 1.0), wshape, wscale),
@@ -543,29 +544,33 @@ def _loglik(family_id: str, params: tuple[float, ...], x: np.ndarray) -> float:
 def _fit_nelder_mead(
     family_id: str, x: np.ndarray, start: tuple[float, ...]
 ) -> tuple[tuple[float, ...], bool]:
-    positive = _FAMILIES[family_id].positive
+    spec = _FAMILIES[family_id]
+    positive, logpdf = spec.positive, spec.logpdf
 
     def to_natural(y: np.ndarray) -> tuple[float, ...]:
-        return tuple(
-            math.exp(min(v, 700.0)) if pos else float(v) for v, pos in zip(y, positive)
-        )
+        return tuple([math.exp(min(v, 700.0)) if pos else v for v, pos in zip(y.tolist(), positive)])
 
     def objective(y: np.ndarray) -> float:
-        ll = _loglik(family_id, to_natural(y), x)
-        return -ll if math.isfinite(ll) else 1e300
+        params = to_natural(y)
+        # the domain rule of ParametricFamily, without building one per evaluation
+        if not all(math.isfinite(v) and (v > 0.0 or not pos) for v, pos in zip(params, positive)):
+            return 1e300
+        total = float(logpdf(x, *params).sum())
+        return -total if math.isfinite(total) else 1e300
 
     y0 = np.array([math.log(s) if pos else s for s, pos in zip(start, positive)])
-    res = optimize.minimize(
-        objective,
-        y0,
-        method="Nelder-Mead",
-        options={
-            "maxiter": MAX_FIT_ITERATIONS,
-            "maxfev": 4 * MAX_FIT_ITERATIONS,
-            "xatol": FIT_TOLERANCE,
-            "fatol": FIT_TOLERANCE,
-        },
-    )
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        res = optimize.minimize(
+            objective,
+            y0,
+            method="Nelder-Mead",
+            options={
+                "maxiter": MAX_FIT_ITERATIONS,
+                "maxfev": 4 * MAX_FIT_ITERATIONS,
+                "xatol": FIT_TOLERANCE,
+                "fatol": FIT_TOLERANCE,
+            },
+        )
     return to_natural(res.x), bool(res.success)
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .core import ArmData, KmCurve, StudyDataset, km_estimate, median_survival
+from .core import ArmData, KmCurve, StudyDataset, _run_starts, km_estimate, median_survival
 
 COX_MAX_ITERATIONS = 200
 COX_SCORE_TOL = 1e-10
@@ -84,21 +84,26 @@ class _EventTable:
     d0: np.ndarray  # events, second arm
 
 
-def _arm_counts(times: np.ndarray, status: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, ...]:
-    """At-risk and event counts of one arm at each of the times `at`."""
-    at_risk = times.size - np.searchsorted(np.sort(times), at, side="left")
-    events = np.sort(times[status == 1])
-    hits = np.searchsorted(events, at, side="right") - np.searchsorted(events, at, side="left")
+def _arm_counts(times: np.ndarray, events: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, ...]:
+    """At-risk and event counts of one arm at each of the times `at`, given its sorted event times."""
+    at_risk = times.size - np.sort(times).searchsorted(at, side="left")
+    hits = events.searchsorted(at, side="right") - events.searchsorted(at, side="left")
     return at_risk.astype(float), hits.astype(float)
 
 
 def _build_event_table(dataset: StudyDataset) -> _EventTable:
-    (t1, s1), (t2, s2) = ((arm.times(), arm.statuses()) for arm in dataset.arms)
-    pooled_events = np.unique(np.concatenate([t1[s1 == 1], t2[s2 == 1]]))
-    if pooled_events.size == 0:
+    arm1, arm2 = dataset.arms
+    t1, t2 = arm1.times(), arm2.times()
+    e1, e2 = t1[arm1.statuses() == 1], t2[arm2.statuses() == 1]
+    e1.sort()
+    e2.sort()
+    pooled = np.concatenate((e1, e2))
+    if pooled.size == 0:
         raise DegenerateTestError("dataset has no events")
-    n1, d1 = _arm_counts(t1, s1, pooled_events)
-    n0, d0 = _arm_counts(t2, s2, pooled_events)
+    pooled.sort()
+    pooled = pooled[_run_starts(pooled)]
+    n1, d1 = _arm_counts(t1, e1, pooled)
+    n0, d0 = _arm_counts(t2, e2, pooled)
     return _EventTable(n1=n1, n0=n0, d1=d1, d0=d0)
 
 
@@ -106,12 +111,13 @@ def _logrank(tab: _EventTable) -> LogrankResult:
     n = tab.n1 + tab.n0
     d = tab.d1 + tab.d0
     expected = d * tab.n1 / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tie_factor = np.where(n > 1.0, (n - d) / (n - 1.0), 0.0)
-    variance = d * (tab.n1 / n) * (1.0 - tab.n1 / n) * tie_factor
-    observed = float(np.sum(tab.d1))
-    e_total = float(np.sum(expected))
-    v_total = float(np.sum(variance))
+    # a lone subject at risk has no tie correction; the mask skips its 0 / 0
+    tie_factor = np.divide(n - d, n - 1.0, out=np.zeros_like(n), where=n > 1.0)
+    share = tab.n1 / n
+    variance = d * share * (1.0 - share) * tie_factor
+    observed = float(tab.d1.sum())
+    e_total = float(expected.sum())
+    v_total = float(variance.sum())
     if v_total <= 0.0:
         raise DegenerateTestError("logrank variance is zero for this dataset")
     statistic = (observed - e_total) ** 2 / v_total
@@ -137,10 +143,10 @@ def _cox_terms(tab: _EventTable, ties: str) -> tuple[np.ndarray, np.ndarray, np.
     if ties != "efron":
         raise ValueError(f"ties must be 'efron' or 'breslow', got {ties!r}")
     reps = (tab.d1 + tab.d0).astype(int)
-    starts = np.cumsum(reps) - reps
-    fracs = (np.arange(reps.sum()) - np.repeat(starts, reps)) / np.repeat(reps, reps)
-    a1 = np.repeat(tab.n1, reps) - fracs * np.repeat(tab.d1, reps)
-    a0 = np.repeat(tab.n0, reps) - fracs * np.repeat(tab.d0, reps)
+    starts = reps.cumsum() - reps
+    fracs = (np.arange(reps.sum()) - starts.repeat(reps)) / reps.repeat(reps)
+    a1 = tab.n1.repeat(reps) - fracs * tab.d1.repeat(reps)
+    a0 = tab.n0.repeat(reps) - fracs * tab.d0.repeat(reps)
     return a1, a0, np.ones(fracs.size)
 
 
@@ -152,25 +158,26 @@ def _cox_loglik_parts(
     numer = a1 * r
     denom = a0 + numer
     u = numer / denom
-    ll = beta * d1_total - float(np.sum(weights * np.log(denom)))
-    score = d1_total - float(np.sum(weights * u))
-    hessian = -float(np.sum(weights * u * (1.0 - u)))
+    ll = beta * d1_total - float((weights * np.log(denom)).sum())
+    weighted_u = weights * u
+    score = d1_total - float(weighted_u.sum())
+    hessian = -float((weighted_u * (1.0 - u)).sum())
     return ll, score, hessian
 
 
 def cox_partial_loglik(dataset: StudyDataset, beta: float, ties: str = "efron") -> float:
     """Partial log-likelihood with the first arm as the indicator group."""
     tab = _build_event_table(dataset)
-    return _cox_loglik_parts(beta, _cox_terms(tab, ties), float(np.sum(tab.d1)))[0]
+    return _cox_loglik_parts(beta, _cox_terms(tab, ties), float(tab.d1.sum()))[0]
 
 
 def cox_score(dataset: StudyDataset, beta: float, ties: str = "efron") -> float:
     tab = _build_event_table(dataset)
-    return _cox_loglik_parts(beta, _cox_terms(tab, ties), float(np.sum(tab.d1)))[1]
+    return _cox_loglik_parts(beta, _cox_terms(tab, ties), float(tab.d1.sum()))[1]
 
 
 def _cox_fit(tab: _EventTable, ties: str) -> CoxResult:
-    d1_total = float(np.sum(tab.d1))
+    d1_total = float(tab.d1.sum())
     terms = _cox_terms(tab, ties)
     beta = 0.0
     ll, score, hessian = _cox_loglik_parts(beta, terms, d1_total)
@@ -222,17 +229,20 @@ def rmst_tau(dataset: StudyDataset) -> float:
     (max1, censored1), (max2, censored2) = map(_arm_maxima, dataset.arms)
     # a censored subject recorded at the shared maximum is still at risk there
     if censored1 == max1 and censored2 == max2:
-        return min(max1, max2)
-    censored = [t for t in (censored1, censored2) if t is not None]
-    return max(censored) if censored else max(max1, max2)
+        tau = min(max1, max2)
+    else:
+        censored = [t for t in (censored1, censored2) if t is not None]
+        tau = max(censored) if censored else max(max1, max2)
+    # +0.0 whichever signed zero the maxima picked, which numpy leaves open
+    return tau + 0.0
 
 
 def rmst_from_curve(curve: KmCurve, tau: float) -> float:
     # rectangles of the steps before tau, summed left to right
-    k = int(np.searchsorted(curve.time, tau, side="left"))
+    k = int(curve.time.searchsorted(tau, side="left"))
     edges = np.concatenate(([0.0], curve.time[:k], [tau]))
     heights = np.concatenate(([1.0], curve.survival[:k]))
-    return float(np.cumsum(heights * np.diff(edges))[-1])
+    return float((heights * (edges[1:] - edges[:-1])).cumsum()[-1])
 
 
 def rmst(arm: ArmData, tau: float) -> float:
@@ -251,11 +261,15 @@ def rmstd(dataset: StudyDataset, tau: float | None = None) -> float:
 
 def tie_ratio(dataset: StudyDataset) -> float:
     """Fraction of pooled observations sharing their time with another one."""
-    times = np.sort(np.concatenate([arm.times() for arm in dataset.arms]))
+    arm1, arm2 = dataset.arms
+    times = np.concatenate((arm1.times(), arm2.times()))
+    times.sort()
     # a sorted value is tied when it equals its left or its right neighbour
     same = times[1:] == times[:-1]
-    tied = np.count_nonzero(np.concatenate(([False], same)) | np.concatenate((same, [False])))
-    return float(tied) / times.size
+    tied = np.zeros(times.size, dtype=bool)
+    tied[1:] = same
+    tied[:-1] |= same
+    return float(np.count_nonzero(tied)) / times.size
 
 
 def evaluate_dataset(dataset: StudyDataset) -> EvaluationResult:

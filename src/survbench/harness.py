@@ -81,6 +81,7 @@ class BenchmarkConfig:
             raise ValueError("iterations must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        RandomStream(self.base_seed, 0)  # a seed outside [0, 2**64) fails here, before any fit
 
 
 @dataclass
@@ -286,6 +287,15 @@ def emit_reports(config: BenchmarkConfig, result: BenchmarkResult, outdir: str) 
     return written
 
 
+def _json_integer(raw: dict, key: str, default: int) -> int:
+    """A config count or seed: a JSON integer, never a bool, float or string converted."""
+    value = raw.get(key, default)
+    if type(value) is not int:
+        int(value)  # None, a list or a non-numeric string fails with int()'s own message
+        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def load_config(path: str) -> BenchmarkConfig:
     """Read a benchmark-config JSON; study paths resolve relative to it."""
     raw = read_json(path)
@@ -308,9 +318,9 @@ def load_config(path: str) -> BenchmarkConfig:
         return BenchmarkConfig(
             studies=studies,
             engines=engines,
-            iterations=int(raw.get("iterations", 10000)),
-            base_seed=int(raw.get("seed", 0)),
-            workers=int(raw.get("workers", 1)),
+            iterations=_json_integer(raw, "iterations", 10000),
+            base_seed=_json_integer(raw, "seed", 0),
+            workers=_json_integer(raw, "workers", 1),
         )
     except (TypeError, ValueError) as exc:
         raise StructureError(f"{path}: {exc}") from None

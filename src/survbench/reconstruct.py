@@ -13,7 +13,7 @@ import json
 import math
 import numbers
 from bisect import bisect_left
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +75,8 @@ class DigitizedArm:
 
 
 def _is_positive_count(n) -> bool:
+    if isinstance(n, (bool, np.bool_)):  # bools are not counts
+        return False
     try:
         return int(n) == n and n >= 1
     except (OverflowError, ValueError):  # inf, nan
@@ -399,11 +401,21 @@ def load_digitized_arm(
         raise StructureError(f"{coords_path}, {risk_path}: {exc}") from None
 
 
-def load_event_totals(path: str) -> dict[str, int | None]:
-    """Read a JSON object mapping arm label to event total (``null``: unconstrained)."""
+def load_event_totals(path: str, labels: Sequence[str]) -> dict[str, int | None]:
+    """Read a JSON object mapping arm label to event total (``null``: unconstrained).
+
+    Every key must name one of the arms in `labels`: a misspelt label would
+    otherwise drop its arm's constraint without a word.
+    """
     totals = read_json(path)
     if not isinstance(totals, dict):
         raise StructureError(f"{path}: expected a JSON object mapping arm label to event total")
+    unknown = [label for label in totals if label not in labels]
+    if unknown:
+        raise StructureError(
+            f"{path}: no arm is labelled {', '.join(map(repr, unknown))} "
+            f"(the arms are {', '.join(map(repr, labels))})"
+        )
     try:
         return {
             label: None if total is None else _check_event_total(label, total)

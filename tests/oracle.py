@@ -1,11 +1,17 @@
 """Implementations that the package replaced, kept as a reference.
 
 ``LatentPair`` and ``observe`` are the scalar observation rule that
-``observe_arrays`` vectorises. ``evaluate_dataset`` and the statistics
-below it score a study the way the package used to, building one event
-table per statistic and recomputing Cox's beta-free terms at every Newton
-step. Most other functions repeat the per-step or
-per-subject loop the package used to run, working on plain Python values;
+``observe_arrays`` vectorises. ``km_from_arrays`` and ``build_event_table``
+find the distinct event times with ``np.unique`` and sort each arm again
+for every count, as the package used to. ``evaluate_dataset`` and the
+statistics below it score a study the way the package used to, building
+one event table per statistic and recomputing Cox's beta-free terms at
+every Newton step. ``fit_mle`` and ``fit_candidates`` fit the families with
+a Nelder-Mead objective that builds a ``ParametricFamily`` and opens a
+floating-point error context at every evaluation, and mask the mixture's
+Weibull part even where every point is positive. Most other functions
+repeat the per-step or per-subject loop the package used to run, working
+on plain Python values;
 the kde functions evaluate the whole kernel matrix of a proposal block at
 once, as the sampler used to, and ``run_benchmark`` keeps every
 iteration's metrics before pivoting them into series, as the harness used
@@ -26,15 +32,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from scipy import optimize
 from scipy.special import erfc
 
 from survbench.core import (
     ArmData,
+    KmCurve,
     Observation,
     RandomStream,
     StudyDataset,
     arm_from_arrays,
-    km_estimate,
+)
+from survbench.distributions import (
+    _FAMILIES,
+    CANONICAL_FAMILIES,
+    FIT_TOLERANCE,
+    MAX_FIT_ITERATIONS,
+    MIXTURE_NORMAL_WEIGHT,
+    MIXTURE_WEIBULL_WEIGHT,
+    DomainError,
+    FitFailureError,
+    FittedDistribution,
+    ParametricFamily,
+    SupportError,
+    _norm_logpdf,
+    _weibull_logpdf,
+    cvm_test,
 )
 from survbench.engines import ModelBuildError, build_model, simulate
 from survbench.evaluate import (
@@ -45,7 +68,7 @@ from survbench.evaluate import (
     DegenerateTestError,
     EvaluationResult,
     LogrankResult,
-    _build_event_table,
+    _EventTable,
 )
 from survbench.reconstruct import (
     ArmReport,
@@ -93,6 +116,33 @@ def km_steps(times: np.ndarray, status: np.ndarray) -> list[tuple[float, int, in
     return steps
 
 
+def km_from_arrays(times: np.ndarray, status: np.ndarray) -> KmCurve:
+    """The curve's columns from ``np.unique`` and a fresh sort of every time."""
+    event_times, event_counts = np.unique(times[status == 1], return_counts=True)
+    at_risk = times.size - np.searchsorted(np.sort(times), event_times, side="left")
+    curve = KmCurve.__new__(KmCurve)
+    curve._set_columns(event_times, at_risk, event_counts, np.cumprod(1.0 - event_counts / at_risk))
+    return curve
+
+
+def arm_counts(times: np.ndarray, status: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, ...]:
+    """At-risk and event counts of one arm at each of the times `at`."""
+    at_risk = times.size - np.searchsorted(np.sort(times), at, side="left")
+    events = np.sort(times[status == 1])
+    hits = np.searchsorted(events, at, side="right") - np.searchsorted(events, at, side="left")
+    return at_risk.astype(float), hits.astype(float)
+
+
+def build_event_table(dataset: StudyDataset) -> _EventTable:
+    (t1, s1), (t2, s2) = ((arm.times(), arm.statuses()) for arm in dataset.arms)
+    pooled_events = np.unique(np.concatenate([t1[s1 == 1], t2[s2 == 1]]))
+    if pooled_events.size == 0:
+        raise DegenerateTestError("dataset has no events")
+    n1, d1 = arm_counts(t1, s1, pooled_events)
+    n0, d0 = arm_counts(t2, s2, pooled_events)
+    return _EventTable(n1=n1, n0=n0, d1=d1, d0=d0)
+
+
 def median_survival(steps) -> float | None:
     for t, _, _, surv in steps:
         if surv <= 0.5:
@@ -120,6 +170,11 @@ def _arm_max_is_censored(arm: ArmData) -> bool:
 
 
 def rmst_tau(dataset: StudyDataset) -> float:
+    """The restriction time, with a zero one written as +0.0."""
+    return _signed_rmst_tau(dataset) + 0.0
+
+
+def _signed_rmst_tau(dataset: StudyDataset) -> float:
     arm1, arm2 = dataset.arms
     if _arm_max_is_censored(arm1) and _arm_max_is_censored(arm2):
         return min(max(o.time for o in arm1.observations), max(o.time for o in arm2.observations))
@@ -135,7 +190,7 @@ def efron_fracs(d: np.ndarray) -> np.ndarray:
 
 
 def logrank_test(dataset: StudyDataset) -> LogrankResult:
-    tab = _build_event_table(dataset)
+    tab = build_event_table(dataset)
     n = tab.n1 + tab.n0
     d = tab.d1 + tab.d0
     expected = d * tab.n1 / n
@@ -182,17 +237,17 @@ def cox_loglik_parts(beta: float, terms, d1_total: float) -> tuple[float, float,
 
 
 def cox_partial_loglik(dataset: StudyDataset, beta: float, ties: str = "efron") -> float:
-    tab = _build_event_table(dataset)
+    tab = build_event_table(dataset)
     return cox_loglik_parts(beta, cox_terms(tab, ties), float(np.sum(tab.d1)))[0]
 
 
 def cox_score(dataset: StudyDataset, beta: float, ties: str = "efron") -> float:
-    tab = _build_event_table(dataset)
+    tab = build_event_table(dataset)
     return cox_loglik_parts(beta, cox_terms(tab, ties), float(np.sum(tab.d1)))[1]
 
 
 def cox_hazard_ratio(dataset: StudyDataset, ties: str = "efron") -> CoxResult:
-    tab = _build_event_table(dataset)
+    tab = build_event_table(dataset)
     d1_total = float(np.sum(tab.d1))
     terms = cox_terms(tab, ties)
     beta = 0.0
@@ -525,7 +580,7 @@ def reconstruct_arm(arm) -> tuple[ArmData, ArmReport]:
     risk_rows = [(t, n, int(np.count_nonzero(times >= t))) for t, n in risk]
     rows_ok = all(pub == got for _, pub, got in risk_rows)
     events_ok = arm.total_events is None or achieved_events == arm.total_events
-    curve = km_estimate(rebuilt)
+    curve = km_from_arrays(rebuilt.times(), rebuilt.statuses())
     deviation = max(abs(curve.survival_at(t) - s) for t, s in coords)
     report = ArmReport(
         label=arm.label,
@@ -538,3 +593,94 @@ def reconstruct_arm(arm) -> tuple[ArmData, ArmReport]:
         iterations=iterations_total,
     )
     return rebuilt, report
+
+
+def mixture_logpdf(x, wshape, wscale, nmean, nsd):
+    """The mixture density with its Weibull part masked at every point."""
+    x = np.asarray(x, dtype=float)
+    norm_part = math.log(MIXTURE_NORMAL_WEIGHT) + _norm_logpdf(x, nmean, nsd)
+    weib_part = np.full_like(norm_part, -np.inf)
+    pos = x > 0.0
+    if np.any(pos):
+        weib_part = np.where(
+            pos,
+            math.log(MIXTURE_WEIBULL_WEIGHT) + _weibull_logpdf(np.where(pos, x, 1.0), wshape, wscale),
+            -np.inf,
+        )
+    return np.logaddexp(weib_part, norm_part)
+
+
+def loglik(family_id: str, params: tuple[float, ...], x: np.ndarray) -> float:
+    """Log-likelihood through a checked ``ParametricFamily``; -inf outside the domain."""
+    try:
+        fam = ParametricFamily(family_id, params)
+    except DomainError:
+        return -np.inf
+    logpdf = mixture_logpdf if family_id == "weibull-normal-mixture" else _FAMILIES[family_id].logpdf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        vals = logpdf(x, *fam.parameters)
+    total = float(np.sum(vals))
+    return total if math.isfinite(total) else -np.inf
+
+
+def fit_nelder_mead(family_id: str, x: np.ndarray, start: tuple[float, ...]) -> tuple[tuple[float, ...], bool]:
+    positive = _FAMILIES[family_id].positive
+
+    def to_natural(y: np.ndarray) -> tuple[float, ...]:
+        return tuple(
+            math.exp(min(v, 700.0)) if pos else float(v) for v, pos in zip(y, positive)
+        )
+
+    def objective(y: np.ndarray) -> float:
+        ll = loglik(family_id, to_natural(y), x)
+        return -ll if math.isfinite(ll) else 1e300
+
+    y0 = np.array([math.log(s) if pos else s for s, pos in zip(start, positive)])
+    res = optimize.minimize(
+        objective,
+        y0,
+        method="Nelder-Mead",
+        options={
+            "maxiter": MAX_FIT_ITERATIONS,
+            "maxfev": 4 * MAX_FIT_ITERATIONS,
+            "xatol": FIT_TOLERANCE,
+            "fatol": FIT_TOLERANCE,
+        },
+    )
+    return to_natural(res.x), bool(res.success)
+
+
+def fit_mle(family_id: str, sample_values) -> FittedDistribution:
+    spec = _FAMILIES[family_id]
+    x = np.asarray(sample_values, dtype=float)
+    if x.size < 2:
+        raise FitFailureError(f"{family_id}: need at least 2 observations, got {x.size}")
+    if float(np.min(x)) == float(np.max(x)):
+        raise FitFailureError(f"{family_id}: degenerate sample, all values equal")
+    if spec.positive_support and float(np.min(x)) <= 0.0:
+        raise SupportError(f"family {family_id} needs a strictly positive sample")
+    start = spec.start(x)
+    start_ll = loglik(family_id, start, x)
+    if not math.isfinite(start_ll):
+        raise FitFailureError(f"{family_id}: likelihood not finite at the starting point")
+    if spec.fit is not None:
+        params, converged = spec.fit(x, start)
+    else:
+        params, converged = fit_nelder_mead(family_id, x, start)
+    ll = loglik(family_id, params, x)
+    if not math.isfinite(ll) or ll < start_ll:
+        params, ll, converged = start, start_ll, False
+    family = ParametricFamily(family_id, params)
+    statistic, p_value = cvm_test(x, family)
+    return FittedDistribution(family, ll, statistic, p_value, converged)
+
+
+def fit_candidates(sample_values) -> tuple[list[FittedDistribution], dict[str, str]]:
+    fits: list[FittedDistribution] = []
+    failures: dict[str, str] = {}
+    for family_id in CANONICAL_FAMILIES:
+        try:
+            fits.append(fit_mle(family_id, sample_values))
+        except (SupportError, FitFailureError) as exc:
+            failures[family_id] = str(exc)
+    return fits, failures

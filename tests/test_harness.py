@@ -432,6 +432,35 @@ class TestLoadConfig:
         with pytest.raises(StructureError, match=f"bench.json: .*{message}"):
             load_config(str(config_path))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"iterations": 2.5}, "iterations must be a JSON integer, got 2.5"),
+            ({"iterations": True}, "iterations must be a JSON integer, got True"),
+            ({"iterations": "3"}, "iterations must be a JSON integer, got '3'"),
+            ({"workers": "2"}, "workers must be a JSON integer, got '2'"),
+            ({"workers": 1.0}, "workers must be a JSON integer, got 1.0"),
+            ({"seed": 1.7}, "seed must be a JSON integer, got 1.7"),
+            ({"seed": False}, "seed must be a JSON integer, got False"),
+            ({"seed": -1}, "seed must lie in [0, 2**64), got -1"),
+            ({"seed": 2**64}, f"seed must lie in [0, 2**64), got {2**64}"),
+        ],
+    )
+    def test_config_integers_are_not_converted(self, tmp_path, bad, message):
+        self.write_study(tmp_path, "alpha", 5)
+        raw = {"studies": [{"dataset": "alpha.csv", "metadata": "alpha.json"}], "engines": ["case"]}
+        config_path = tmp_path / "bench.json"
+        config_path.write_text(json.dumps({**raw, **bad}))
+        with pytest.raises(StructureError, match=re.escape(f"{config_path}: {message}")):
+            load_config(str(config_path))
+
+    def test_largest_seed_is_accepted(self, tmp_path):
+        self.write_study(tmp_path, "alpha", 5)
+        raw = {"studies": [{"dataset": "alpha.csv", "metadata": "alpha.json"}], "engines": ["case"]}
+        config_path = tmp_path / "bench.json"
+        config_path.write_text(json.dumps({**raw, "seed": 2**64 - 1}))
+        assert load_config(str(config_path)).base_seed == 2**64 - 1
+
 
 # ---------------------------------------------------------------------------
 # command line
@@ -506,6 +535,26 @@ class TestCli:
                 ]
             )
 
+    def test_reconstruct_rejects_event_totals_of_unknown_arms(self, tmp_path):
+        for label in "AB":
+            (tmp_path / f"c{label}.csv").write_text("time,survival\n0.0,1.0\n1.0,0.5\n")
+            (tmp_path / f"r{label}.csv").write_text("time,n_risk\n0,10\n")
+        meta_path = tmp_path / "totals.json"
+        meta_path.write_text('{"a": 3, "B": 3, "b": 3}')
+        message = f"{meta_path}: no arm is labelled 'a', 'b' (the arms are 'A', 'B')"
+        with pytest.raises(StructureError, match=re.escape(message)):
+            main(
+                [
+                    "reconstruct",
+                    "--coords", f"A={tmp_path / 'cA.csv'},B={tmp_path / 'cB.csv'}",
+                    "--risk", f"A={tmp_path / 'rA.csv'},B={tmp_path / 'rB.csv'}",
+                    "--meta", str(meta_path),
+                    "--out", str(tmp_path / "o.csv"),
+                    "--report", str(tmp_path / "r.json"),
+                ]
+            )
+        assert not (tmp_path / "o.csv").exists()
+
     def test_reconstruct_rejects_malformed_arm_spec(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(
@@ -540,6 +589,17 @@ class TestCli:
         assert [len(a) for a in sim.arms] == [40, 40]
         summaries = json.loads(summary_path.read_text())
         assert [s["engine"] for s in summaries] == ["case-resampling"] * 2
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "x"])
+    def test_simulate_seed_outside_the_range_is_a_usage_error(self, tmp_path, capsys, seed):
+        source_path = tmp_path / "source.csv"
+        store_dataset(synth_study(5, n=40), str(source_path))
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--engine", "case", "--input", str(source_path),
+                  "--seed", seed, "--out", str(tmp_path / "sim.csv")])
+        assert err.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err
+        assert not (tmp_path / "sim.csv").exists()
 
     def test_simulate_with_explicit_size(self, tmp_path):
         source_path = tmp_path / "source.csv"

@@ -34,6 +34,7 @@ from survbench.core import (
     median_survival,
     store_dataset,
 )
+from survbench.distributions import fit_candidates
 from survbench.engines import (
     build_model,
     case_resample,
@@ -61,8 +62,8 @@ from survbench.reconstruct import DigitizedArm, InfeasibleCurveError, reconstruc
 
 from helpers import synth_study
 
-# times from a coarse grid that includes 0 (heavy ties) or from a continuum
-_grid_time = st.integers(0, 12).map(lambda k: k * 0.5)
+# times from a coarse grid that includes 0 and -0.0 (heavy ties) or from a continuum
+_grid_time = st.integers(0, 12).map(lambda k: k * 0.5) | st.just(-0.0)
 _free_time = st.floats(0.0, 60.0, allow_nan=False, allow_infinity=False)
 
 
@@ -102,6 +103,22 @@ def studies(draw):
 
 def _steps(curve):
     return [(s.time, s.at_risk, s.events, s.survival) for s in curve.steps]
+
+
+def _same_columns(new, old, names):
+    for name in names:
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@settings(deadline=None, max_examples=300)
+@given(arm_columns())
+@example((np.array([0.0, -0.0, 0.0, 1.0]), np.array([1, 1, 1, 0])))  # both zeros in one run
+@example((np.array([2.0, 1.0]), np.array([0, 0])))  # no events
+def test_km_columns_match_the_unique_build(columns):
+    curve, expected = km_from_arrays(*columns), oracle.km_from_arrays(*columns)
+    _same_columns(curve, expected, ("time", "at_risk", "events", "survival"))
+    assert not any(getattr(curve, name).flags.writeable for name in ("time", "at_risk", "events", "survival"))
 
 
 @settings(deadline=None)
@@ -148,6 +165,20 @@ def _study(pairs_a, pairs_b):
     return StudyDataset(tuple(arms))
 
 
+@settings(deadline=None, max_examples=300)
+@given(studies())
+@example(_study([(0.0, 1), (-0.0, 1), (2.0, 0)], [(-0.0, 1), (0.0, 0), (0.0, 1)]))  # signed zeros across arms
+@example(_study([(1.0, 0)], [(0.0, 0)]))  # no events
+def test_event_table_matches_the_unique_build(dataset):
+    try:
+        expected = oracle.build_event_table(dataset)
+    except DegenerateTestError as exc:
+        with pytest.raises(DegenerateTestError, match=str(exc)):
+            _build_event_table(dataset)
+        return
+    _same_columns(_build_event_table(dataset), expected, ("n1", "n0", "d1", "d0"))
+
+
 def _outcome(statistic, *args):
     try:
         return repr(statistic(*args))
@@ -161,6 +192,7 @@ def _outcome(statistic, *args):
 @example(_study([(0.0, 0), (2.0, 1), (3.0, 1)], [(0.0, 1), (1.0, 1), (1.5, 1)]))  # tau = 0
 @example(_study([(1.0, 1)], [(1.0, 1)]))  # zero logrank variance
 @example(_study([(0.0, 1)] * 3 + [(1.0, 1)] * 4, [(0.0, 1)] * 2 + [(1.0, 1)] * 5))  # heavy ties at zero
+@example(_study([(-0.0, 1), (0.0, 0), (1.0, 1)], [(0.0, 1), (-0.0, 0), (2.0, 0)]))  # signed zeros
 def test_shared_event_table_matches_one_table_per_statistic(dataset):
     assert json.dumps(evaluate_dataset(dataset).to_json()) == json.dumps(oracle.evaluate_dataset(dataset).to_json())
     assert _outcome(logrank_test, dataset) == _outcome(oracle.logrank_test, dataset)
@@ -170,6 +202,34 @@ def test_shared_event_table_matches_one_table_per_statistic(dataset):
         for beta in (-4.0, -0.5, 0.0, 0.3, 2.5):
             for new, old in ((cox_partial_loglik, oracle.cox_partial_loglik), (cox_score, oracle.cox_score)):
                 assert _outcome(new, dataset, beta, ties) == _outcome(old, dataset, beta, ties)
+
+
+def _fitted(fit, sample):
+    try:
+        fits, failures = fit(sample)
+    except (ArithmeticError, ValueError) as exc:  # the same failure on both sides is parity too
+        return f"{type(exc).__name__}: {exc}"
+    return json.dumps([fit.to_json() for fit in fits]), failures
+
+
+# fit samples: ties and zeros (the mixture's masked Weibull part), negative
+# values, points near 1e-170 whose variance underflows, and wide spreads
+_fit_value = (
+    st.integers(-2, 12).map(lambda k: k * 0.5)
+    | st.sampled_from((0.0, -0.0))
+    | st.floats(1e-171, 1e-169)
+    | st.floats(1e-3, 60.0)
+    | st.floats(-1e4, 1e6, allow_nan=False)
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(_fit_value, min_size=2, max_size=30))
+@example([0.0, 0.0, 1.0, 1.5, 2.0, 2.0, 3.5])  # zeros and ties
+@example([1e-170, 2e-170, 1.5e-170, 3e-170, 1e-170])  # all near 1e-170
+@example([1e-170, 0.25, 3.0, 4e5, 7.0, 12.5])  # a wide spread of positive values
+def test_fitted_candidates_match_the_checked_objective(sample):
+    assert _fitted(fit_candidates, sample) == _fitted(oracle.fit_candidates, sample)
 
 
 @settings(deadline=None)

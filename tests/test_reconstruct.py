@@ -69,6 +69,11 @@ class TestDigitizedArmValidation:
         with pytest.raises(ValueError, match="n_at_risk must be a positive integer"):
             DigitizedArm("A", [(0.0, 1.0)], [(0.0, 10), (1.0, count)])
 
+    @pytest.mark.parametrize("count", [True, np.bool_(True)])
+    def test_bool_risk_count_rejected(self, count):
+        with pytest.raises(ValueError, match="n_at_risk must be a positive integer"):
+            DigitizedArm("A", [(0.0, 1.0), (1.0, 0.5)], [(0.0, count)])
+
 
 class TestExactRoundTrip:
     @pytest.mark.parametrize("seed", [0, 1, 2])
