@@ -23,6 +23,8 @@ def _labeled_paths(parser: argparse.ArgumentParser, spec: str, flag: str) -> lis
         pairs.append((label, path))
     if len(pairs) != 2:
         parser.error(f"{flag} expects exactly 2 arms, got {len(pairs)}")
+    if pairs[0][0] == pairs[1][0]:
+        parser.error(f"{flag} names arm {pairs[0][0]!r} twice; the arm labels must differ")
     return pairs
 
 
@@ -57,6 +59,19 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _n_per_arm(text: str) -> int | str:
+    """A --n-per-arm value: 'source' or an integer >= 1."""
+    if text == "source":
+        return text
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1 or 'source', got {text!r}")
+    return n
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.input)
     stream = RandomStream(args.seed, 0)
@@ -64,7 +79,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     summaries = []
     for arm in dataset.arms:
         model = build_model(args.engine, arm)
-        n_out = len(arm) if args.n_per_arm == "source" else int(args.n_per_arm)
+        n_out = len(arm) if args.n_per_arm == "source" else args.n_per_arm
         arms.append(simulate(model, n_out, stream))
         summaries.append(model_summary(model))
     store_dataset(StudyDataset(tuple(arms)), args.out)
@@ -117,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", required=True, choices=["parametric", "kde", "case", "condboot"]
     )
     p_sim.add_argument("--input", required=True, help="source dataset CSV")
-    p_sim.add_argument("--n-per-arm", default="source", help="integer or 'source'")
+    p_sim.add_argument("--n-per-arm", type=_n_per_arm, default="source", help="integer >= 1 or 'source'")
     p_sim.add_argument("--seed", type=_seed, default=0, help="integer in [0, 2**64)")
     p_sim.add_argument("--out", required=True, help="output dataset CSV")
     p_sim.add_argument("--model-summary", help="optional JSON dump of the fitted models")

@@ -298,11 +298,12 @@ def as_generator(rng: RandomStream | np.random.Generator) -> np.random.Generator
 
 
 def _read_text(path: str) -> str:
-    """A file's UTF-8 text; bytes that do not decode raise ParseError naming the line."""
+    """A file's UTF-8 text without a leading byte-order mark; bytes that
+    do not decode raise ParseError naming the line."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    try:
-        return raw.decode("utf-8")
+    try:  # as "utf-8-sig" reads it, but with error positions counted from the file's first byte
+        return raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path} line {line}: not UTF-8 text ({exc})") from None

@@ -13,8 +13,10 @@ import json
 import math
 import numbers
 from bisect import bisect_left
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -41,7 +43,11 @@ class InfeasibleCurveError(ValueError):
 
 @dataclass
 class DigitizedArm:
-    """One digitized arm: curve clicks, risk table, optional event total."""
+    """One digitized arm: curve clicks, risk table, optional event total.
+
+    The constructor checks every value. ``load_digitized_arm`` checks values as
+    it parses them, then ``_from_rows`` applies only the rules on the whole table.
+    """
 
     label: str
     coordinates: list[tuple[float, float]]
@@ -49,27 +55,43 @@ class DigitizedArm:
     total_events: int | None = None
 
     def __post_init__(self) -> None:
+        coordinates = [(float(t), float(s)) for t, s in self.coordinates]
+        for t, s in coordinates:
+            if math.isnan(s):
+                raise ValueError(f"bad coordinate survival {s} at time {t}")
+        # a count that is not a positive integer fails the table's n >= 1 rule in its row
+        self.risk_table = [(t, int(n) if _is_positive_count(n) else 0) for t, n in self.risk_table]
+        self._settle(coordinates)
+        self.risk_table = [(float(t), n) for t, n in self.risk_table]
+
+    @classmethod
+    def _from_rows(cls, label: str, coordinates, risk_table, total_events) -> DigitizedArm:
+        """The constructor for rows of finite floats and int counts, as the reader parses them."""
+        arm = cls.__new__(cls)
+        arm.label, arm.risk_table, arm.total_events = label, risk_table, total_events
+        arm._settle(coordinates)
+        return arm
+
+    def _settle(self, coordinates: list[tuple[float, float]]) -> None:
+        """Check the rules on the table as a whole and clean the curve."""
         if not self.label:
             raise ValueError("arm label must be non-empty")
-        if not self.coordinates:
+        if not coordinates:
             raise ValueError(f"arm {self.label!r}: no curve coordinates")
         if not self.risk_table:
             raise ValueError(f"arm {self.label!r}: empty risk table")
-        self.coordinates = _monotonize(self.coordinates)
+        self.coordinates = _monotonize(coordinates)
         prev_t = -math.inf
         for t, n in self.risk_table:
-            if not math.isfinite(t) or t < 0.0:
+            if not 0.0 <= t < math.inf:
                 raise ValueError(f"arm {self.label!r}: bad risk time {t}")
             if t <= prev_t:
                 raise ValueError(f"arm {self.label!r}: risk times must be strictly increasing")
-            if not _is_positive_count(n):
+            if n < 1:
                 raise ValueError(f"arm {self.label!r}: n_at_risk must be a positive integer")
             prev_t = t
-        self.risk_table = [(float(t), int(n)) for t, n in self.risk_table]
         if self.risk_table[0][0] > self.coordinates[0][0]:
-            raise ValueError(
-                f"arm {self.label!r}: first risk time must not exceed the first coordinate"
-            )
+            raise ValueError(f"arm {self.label!r}: first risk time must not exceed the first coordinate")
         if self.total_events is not None:
             self.total_events = _check_event_total(self.label, self.total_events)
 
@@ -91,22 +113,24 @@ def _check_event_total(label: str, total) -> int:
 
 
 def _monotonize(coords: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Sort by time, collapse duplicate times and force survival downhill."""
-    cleaned: dict[float, float] = {}
-    for t, s in coords:
-        t = float(t)
-        if not math.isfinite(t) or t < 0.0:
+    """Sort by time, collapse duplicate times and force survival downhill.
+
+    `coords` are pairs of floats, no survival nan. A repeated time keeps its
+    first click and its least survival.
+    """
+    for t, _ in coords:
+        if not 0.0 <= t < math.inf:
             raise ValueError(f"bad coordinate time {t}")
-        s = float(s)
-        if math.isnan(s):
-            raise ValueError(f"bad coordinate survival {s} at time {t}")
-        s = min(max(s, 0.0), 1.0)  # keeps -0.0, as np.clip does
-        cleaned[t] = min(s, cleaned.get(t, 1.0))
     out: list[tuple[float, float]] = []
-    running = 1.0
-    for t in sorted(cleaned):
-        running = min(running, cleaned[t])
-        out.append((t, running))
+    last = least = floor = math.nan  # floor: the survival before time `last`
+    for t, s in sorted(coords, key=itemgetter(0)):  # stable: repeated times keep their order
+        s = 0.0 if s < 0.0 else 1.0 if s > 1.0 else s  # clamp, keeping -0.0 as np.clip does
+        if t == last:
+            least = least if least < s else s
+            out[-1] = (out[-1][0], least if least < floor else floor)
+        else:
+            last, least, floor = t, s, out[-1][1] if out else 1.0
+            out.append((t, s if s < floor else floor))
     return out
 
 
@@ -122,6 +146,7 @@ class ArmReport:
     achieved_total_events: int
     converged: bool
     iterations: int
+    misses: list[tuple[float, float, str, int]]  # interval start, end, constraint, residual
 
     def to_json(self) -> dict:
         return {
@@ -135,6 +160,7 @@ class ArmReport:
             "achieved_total_events": self.achieved_total_events,
             "converged": self.converged,
             "iterations": self.iterations,
+            "misses": [{"interval": [a, b], "constraint": c, "residual": r} for a, b, c, r in self.misses],
         }
 
 
@@ -155,87 +181,63 @@ class ReconstructionReport:
             fh.write("\n")
 
 
-@dataclass
-class _PassResult:
-    events: list[tuple[float, int]]
-    censor_times: list[float]
-    n_end: int
-    surv_end: float
+def _reconcile(clicks, t_start, t_end, n_start, surv_start, count, target, tail=False):
+    """Walk the interval's clicks once per censor count until the residual is zero.
 
-
-def _uniform_positions(start: float, end: float, count: int) -> list[float]:
-    if count <= 0:
-        return []
-    gap = (end - start) / (count + 1)
-    return [start + (g + 1) * gap for g in range(count)]
-
-
-def _pass_interval(
-    clicks: list[tuple[float, float]],
-    censor_times: list[float],
-    n_start: int,
-    surv_start: float,
-) -> _PassResult:
-    """Walk the clicks once with a fixed censor placement."""
-    n = n_start
-    surv = surv_start
-    events: list[tuple[float, int]] = []
-    k = 0
-    for t, target in clicks:
-        while k < len(censor_times) and censor_times[k] < t:
-            n -= 1
-            k += 1
-        if n <= 0 or surv <= 0.0:
-            break
-        if target < surv:
-            d = int(round(n * (1.0 - target / surv)))
-            d = min(max(d, 0), n)
-            if d > 0:
-                surv *= 1.0 - d / n
-                n -= d
-                events.append((t, d))
-    n -= len(censor_times) - k
-    return _PassResult(events, list(censor_times), n, surv)
-
-
-def _reconcile(
-    clicks: list[tuple[float, float]],
-    t_start: float,
-    t_end: float,
-    n_start: int,
-    surv_start: float,
-    censor_count: int,
-    residual: Callable[[_PassResult], int],
-) -> tuple[_PassResult, bool, int]:
-    """Adjust the censor count by the residual until the residual is zero.
-
-    Inside the risk table the residual is the end-of-interval at-risk gap;
-    past its last row it is the gap to the published event total. When no
-    censor count can close the gap (the digitized drops alone already
-    overshoot it), the closest pass is kept and the mismatch is reported
-    through the convergence flag rather than an error: the conflict is
-    digitization noise, not an impossible input.
+    A pass spreads the censors evenly over the interval and reads each
+    click's drop in survival as events among those still at risk. Inside
+    the risk table the residual is the end-of-interval at-risk count minus
+    the published one (`target`); past its last row (`tail`) it is the
+    interval's events minus what the published total leaves (`target`, None
+    if no total was published). The next count adds the residual; a count
+    tried before ends the search. When no count closes the gap (the
+    digitized drops alone already overshoot it), the closest pass and its
+    residual are returned: the conflict is digitization noise, not an
+    impossible input. Returns that pass's event times and counts, censor
+    times, at-risk count and survival, its residual and the number of passes.
     """
-    best: _PassResult | None = None
-    best_diff = None
-    seen: set[int] = set()
-    iterations = 0
-    while iterations < ITERATION_CAP:
-        iterations += 1
-        seen.add(censor_count)
-        positions = _uniform_positions(t_start, t_end, censor_count)
-        result = _pass_interval(clicks, positions, n_start, surv_start)
-        diff = residual(result)
-        if best_diff is None or abs(diff) < abs(best_diff):
-            best, best_diff = result, diff
+    best = seen = None
+    passes = 0
+    while passes < ITERATION_CAP:
+        passes += 1
+        # walk the clicks once, with `placed` censors at t_start + (k + 1) * gap
+        placed = count if count > 0 else 0  # count < 0 only when n_start is
+        gap = (t_end - t_start) / (placed + 1)
+        times, counts, n, surv, k = [], [], n_start, surv_start, 0
+        for t, s in clicks:
+            while k < placed and t_start + (k + 1) * gap < t:
+                n -= 1
+                k += 1
+            if n <= 0 or surv <= 0.0:
+                break
+            if s < surv:
+                d = round(n * (1.0 - s / surv))
+                if d > n:
+                    d = n
+                if d > 0:
+                    surv *= 1.0 - d / n
+                    n -= d
+                    times.append(t)
+                    counts.append(d)
+        n -= placed - k
+        if not tail:
+            diff = n - target
+        else:  # the events, as every censor and every event leaves the risk set once
+            diff = 0 if target is None else n_start - placed - n - target
+        if best is None or abs(diff) < abs(best[0]):
+            best = diff, placed, gap, times, counts, n, surv
         if diff == 0:
-            return result, True, iterations
-        next_count = min(max(censor_count + diff, 0), n_start)
-        if next_count == censor_count or next_count in seen:
             break
-        censor_count = next_count
-    assert best is not None
-    return best, False, iterations
+        next_count = min(max(count + diff, 0), n_start)
+        if seen is None:
+            seen = set()
+        seen.add(count)
+        if next_count in seen:
+            break
+        count = next_count
+    diff, placed, gap, times, counts, n, surv = best
+    censors = [t_start + (g + 1) * gap for g in range(placed)] if placed else []
+    return times, counts, censors, n, surv, diff, passes
 
 
 def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
@@ -248,71 +250,49 @@ def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
     coords = arm.coordinates
     click_times = [t for t, _ in coords]
     risk = arm.risk_table
-    event_times: list[float] = []
-    event_counts: list[int] = []
-    censor_times: list[float] = []
+    event_times, event_counts, censor_times, misses = [], [], [], []
     n_cur = risk[0][1]
     surv = 1.0
-    converged = True
     iterations_total = 0
     lo = bisect_left(click_times, risk[0][0])  # first click at or after t_start
 
-    for j in range(len(risk) - 1):
-        t_start, published_start = risk[j]
-        t_end, published_end = risk[j + 1]
+    for (t_start, published_start), (t_end, published_end) in zip(risk, islice(risk, 1, None)):
         if published_end > published_start:
             raise InfeasibleCurveError(
                 f"interval [{t_start}, {t_end}): published at-risk rises from "
                 f"{published_start} to {published_end}"
             )
-        hi = bisect_left(click_times, t_end)  # first click at or after t_end
+        hi = bisect_left(click_times, t_end, lo)  # first click at or after t_end
         # start from the censor count the published survival implies
         surv_before_end = coords[hi - 1][1] if hi else 1.0
-        implied = int(round(n_cur * surv_before_end / surv)) if surv > 0.0 else 0
-        result, ok, used = _reconcile(
-            coords[lo:hi],
-            t_start,
-            t_end,
-            n_cur,
-            surv,
-            min(max(implied - published_end, 0), n_cur),
-            lambda r: r.n_end - published_end,
+        implied = round(n_cur * surv_before_end / surv) if surv > 0.0 else 0
+        start_count = min(max(implied - published_end, 0), n_cur)
+        times, counts, censors, n_cur, surv, diff, used = _reconcile(
+            coords[lo:hi], t_start, t_end, n_cur, surv, start_count, published_end
         )
+        if diff:
+            misses.append((t_start, t_end, "risk row", diff))
         lo = hi
-        converged = converged and ok
         iterations_total += used
-        for t, d in result.events:
-            event_times.append(t)
-            event_counts.append(d)
-        censor_times.extend(result.censor_times)
-        n_cur = result.n_end
-        surv = result.surv_end
+        event_times += times
+        event_counts += counts
+        censor_times += censors
 
-    # tail past the last risk row
+    # past the risk table, censoring is tuned against the event total, if one was published
     t_last = risk[-1][0]
-    tail_clicks = coords[lo:]
     t_end_time = max(click_times[-1], t_last)
-    if arm.total_events is None:
-        result, ok, used = _pass_interval(tail_clicks, [], n_cur, surv), True, 1
-    else:
-        # past the risk table, censoring is tuned against the event total
-        target_tail = max(arm.total_events - sum(event_counts), 0)
-        result, ok, used = _reconcile(
-            tail_clicks,
-            t_last,
-            t_end_time,
-            n_cur,
-            surv,
-            0,
-            lambda r: sum(d for _, d in r.events) - target_tail,
-        )
+    target_tail = None if arm.total_events is None else max(arm.total_events - sum(event_counts), 0)
+    times, counts, censors, n_end, _, diff, used = _reconcile(
+        coords[lo:], t_last, t_end_time, n_cur, surv, 0, target_tail, tail=True
+    )
+    if diff:
+        misses.append((t_last, t_end_time, "event total", diff))
     iterations_total += used
-    for t, d in result.events:
-        event_times.append(t)
-        event_counts.append(d)
-    censor_times.extend(result.censor_times)
+    event_times += times
+    event_counts += counts
+    censor_times += censors
     # everyone still at risk leaves the study at the end of follow-up
-    censor_times.extend([t_end_time] * result.n_end)
+    censor_times.extend([t_end_time] * n_end)
 
     times = np.concatenate((np.repeat(np.array(event_times, float), event_counts), censor_times))
     status = np.repeat((1, 0), (sum(event_counts), len(censor_times)))
@@ -322,9 +302,14 @@ def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
 
     achieved_events = int(sum(event_counts))
     at_risk = times.size - np.searchsorted(times, [t for t, _ in risk], side="left")
-    risk_rows = [(t, n, int(got)) for (t, n), got in zip(risk, at_risk)]
-    rows_ok = all(pub == got for _, pub, got in risk_rows)
-    events_ok = arm.total_events is None or achieved_events == arm.total_events
+    risk_rows = [(t, n, got) for (t, n), got in zip(risk, at_risk.tolist())]
+    # a constraint the output misses, unless its interval's pass recorded it
+    missed = {(end, constraint) for _, end, constraint, _ in misses}
+    for j, (t, published, got) in enumerate(risk_rows):
+        if got != published and (t, "risk row") not in missed:
+            misses.append((risk[j - 1][0] if j else t, t, "risk row", got - published))
+    if arm.total_events not in (None, achieved_events) and (t_end_time, "event total") not in missed:
+        misses.append((t_last, t_end_time, "event total", achieved_events - arm.total_events))
     curve = km_estimate(rebuilt)
     # the curve read at each click, as KmCurve.survival_at reads it
     read = np.concatenate(([1.0], curve.survival))[
@@ -338,52 +323,46 @@ def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
         risk_rows=risk_rows,
         total_events_target=arm.total_events,
         achieved_total_events=achieved_events,
-        converged=converged and ok and rows_ok and events_ok,
+        converged=not misses,
         iterations=iterations_total,
+        misses=misses,
     )
     return rebuilt, report
 
 
 def reconstruct_study(
-    arms: tuple[DigitizedArm, DigitizedArm],
-    study_id: str | None = None,
+    arms: tuple[DigitizedArm, DigitizedArm], study_id: str | None = None
 ) -> tuple[StudyDataset, ReconstructionReport]:
     """Rebuild both arms and bundle the per-arm quality reports."""
     if len(arms) != 2:
         raise ValueError(f"a study needs exactly 2 digitized arms, got {len(arms)}")
     if arms[0].label == arms[1].label:
         raise ValueError(f"arm labels must differ, both are {arms[0].label!r}")
-    report = ReconstructionReport(study_id)
-    rebuilt = []
-    for arm in arms:
-        data, arm_report = reconstruct_arm(arm)
-        rebuilt.append(data)
-        report.arms[arm.label] = arm_report
-    return StudyDataset((rebuilt[0], rebuilt[1])), report
+    rebuilt = [reconstruct_arm(arm) for arm in arms]
+    report = ReconstructionReport(study_id, {arm.label: rep for arm, (_, rep) in zip(arms, rebuilt)})
+    return StudyDataset(tuple(data for data, _ in rebuilt)), report
 
 
-def _finite_float(text: str) -> float:
-    """A float that is neither nan nor infinite; anything else raises ValueError."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
-
-
-def _read_two_column_csv(
-    path: str, header: tuple[str, str], value_parser
-) -> list[tuple[float, float]]:
+def _read_rows(path: str, header: tuple[str, str], value_type: type) -> list[tuple[float, float]]:
+    """The data rows of a two-column CSV as (float, `value_type`) pairs of finite values."""
     rows = read_csv_rows(path)
     if not rows or tuple(rows[0]) != header:
         raise ParseError(f"{path} line 1: expected header {','.join(header)}")
     out = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    isfinite = math.isfinite
+    ints = value_type is int  # an int is finite, and may be too large for isfinite
+    try:
+        for a, b in islice(rows, 1, None):  # a row of other than two fields raises ValueError
+            t, v = float(a), value_type(b)
+            if not (isfinite(t) and (ints or isfinite(v))):
+                raise ValueError
+            out.append((t, v))
+    except ValueError:
+        lineno = len(out) + 2
+        row = rows[lineno - 1]
         if len(row) != 2:
-            raise ParseError(f"{path} line {lineno}: expected 2 fields, got {len(row)}")
-        try:
-            out.append((_finite_float(row[0]), value_parser(row[1])))
-        except ValueError:
-            raise ParseError(f"{path} line {lineno}: bad row {row!r}") from None
+            raise ParseError(f"{path} line {lineno}: expected 2 fields, got {len(row)}") from None
+        raise ParseError(f"{path} line {lineno}: bad row {row!r}") from None
     if not out:
         raise ParseError(f"{path}: no data rows")
     return out
@@ -392,11 +371,15 @@ def _read_two_column_csv(
 def load_digitized_arm(
     label: str, coords_path: str, risk_path: str, total_events: int | None = None
 ) -> DigitizedArm:
-    """Read one arm from its coordinate and risk-table CSV pair."""
-    coords = _read_two_column_csv(coords_path, COORDS_HEADER, _finite_float)
-    risk = _read_two_column_csv(risk_path, RISK_HEADER, int)
+    """Read one arm from its coordinate and risk-table CSV pair.
+
+    Each value is converted and checked once, as it is parsed; the arm is
+    built from the parsed rows without checking their values again.
+    """
+    coords = _read_rows(coords_path, COORDS_HEADER, float)
+    risk = _read_rows(risk_path, RISK_HEADER, int)
     try:
-        return DigitizedArm(label=label, coordinates=coords, risk_table=risk, total_events=total_events)
+        return DigitizedArm._from_rows(label, coords, risk, total_events)
     except ValueError as exc:
         raise StructureError(f"{coords_path}, {risk_path}: {exc}") from None
 

@@ -15,9 +15,13 @@ on plain Python values;
 the kde functions evaluate the whole kernel matrix of a proposal block at
 once, as the sampler used to, and ``run_benchmark`` keeps every
 iteration's metrics before pivoting them into series, as the harness used
-to. ``monotonize`` and ``reconstruct_arm`` clean and rebuild a digitized
-arm by scanning every click for every risk interval, as reconstruction
-used to.
+to. ``load_digitized_arm`` parses and checks every value of a digitized
+arm and ``DigitizedArm`` checks each value again, cleaning the curve
+through a dict of click times, as the reader used to; ``reconstruct_arm``
+rebuilds an arm by scanning every click for every risk interval, running
+each interval's fixed point through ``reconcile`` with a residual
+function, a fresh list of censor positions and a ``PassResult`` per pass,
+as reconstruction used to.
 ``test_parity.py`` requires the package to agree with them exactly, so a
 rewrite that reorders arithmetic or random draws shows up as a failure
 rather than as a drift in the last digit.
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -39,9 +44,12 @@ from survbench.core import (
     ArmData,
     KmCurve,
     Observation,
+    ParseError,
     RandomStream,
+    StructureError,
     StudyDataset,
     arm_from_arrays,
+    read_csv_rows,
 )
 from survbench.distributions import (
     _FAMILIES,
@@ -70,12 +78,7 @@ from survbench.evaluate import (
     LogrankResult,
     _EventTable,
 )
-from survbench.reconstruct import (
-    ArmReport,
-    InfeasibleCurveError,
-    _pass_interval,
-    _reconcile,
-)
+from survbench.reconstruct import COORDS_HEADER, ITERATION_CAP, RISK_HEADER, ArmReport, InfeasibleCurveError
 
 
 @dataclass(frozen=True)
@@ -485,9 +488,12 @@ def monotonize(coords: list[tuple[float, float]]) -> list[tuple[float, float]]:
     cleaned: dict[float, float] = {}
     for t, s in coords:
         t = float(t)
-        s = float(np.clip(s, 0.0, 1.0))
         if not math.isfinite(t) or t < 0.0:
             raise ValueError(f"bad coordinate time {t}")
+        s = float(s)
+        if math.isnan(s):
+            raise ValueError(f"bad coordinate survival {s} at time {t}")
+        s = min(max(s, 0.0), 1.0)  # keeps -0.0, as np.clip does
         cleaned[t] = min(s, cleaned.get(t, 1.0))
     out: list[tuple[float, float]] = []
     running = 1.0
@@ -495,6 +501,152 @@ def monotonize(coords: list[tuple[float, float]]) -> list[tuple[float, float]]:
         running = min(running, cleaned[t])
         out.append((t, running))
     return out
+
+
+def is_positive_count(n) -> bool:
+    if isinstance(n, (bool, np.bool_)):  # bools are not counts
+        return False
+    try:
+        return int(n) == n and n >= 1
+    except (OverflowError, ValueError):  # inf, nan
+        return False
+
+
+def check_event_total(label: str, total) -> int:
+    if isinstance(total, bool) or not isinstance(total, numbers.Integral) or total < 0:
+        raise ValueError(f"arm {label!r}: total_events must be an integer >= 0, got {total!r}")
+    return int(total)
+
+
+@dataclass
+class DigitizedArm:
+    """A digitized arm checked value by value, then again as a table."""
+
+    label: str
+    coordinates: list[tuple[float, float]]
+    risk_table: list[tuple[float, int]]
+    total_events: int | None = None
+
+    def __post_init__(self) -> None:
+        if not self.label:
+            raise ValueError("arm label must be non-empty")
+        if not self.coordinates:
+            raise ValueError(f"arm {self.label!r}: no curve coordinates")
+        if not self.risk_table:
+            raise ValueError(f"arm {self.label!r}: empty risk table")
+        self.coordinates = monotonize(self.coordinates)
+        prev_t = -math.inf
+        for t, n in self.risk_table:
+            if not math.isfinite(t) or t < 0.0:
+                raise ValueError(f"arm {self.label!r}: bad risk time {t}")
+            if t <= prev_t:
+                raise ValueError(f"arm {self.label!r}: risk times must be strictly increasing")
+            if not is_positive_count(n):
+                raise ValueError(f"arm {self.label!r}: n_at_risk must be a positive integer")
+            prev_t = t
+        self.risk_table = [(float(t), int(n)) for t, n in self.risk_table]
+        if self.risk_table[0][0] > self.coordinates[0][0]:
+            raise ValueError(
+                f"arm {self.label!r}: first risk time must not exceed the first coordinate"
+            )
+        if self.total_events is not None:
+            self.total_events = check_event_total(self.label, self.total_events)
+
+
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def read_two_column_csv(path: str, header: tuple[str, str], value_parser) -> list[tuple[float, float]]:
+    rows = read_csv_rows(path)
+    if not rows or tuple(rows[0]) != header:
+        raise ParseError(f"{path} line 1: expected header {','.join(header)}")
+    out = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != 2:
+            raise ParseError(f"{path} line {lineno}: expected 2 fields, got {len(row)}")
+        try:
+            out.append((finite_float(row[0]), value_parser(row[1])))
+        except ValueError:
+            raise ParseError(f"{path} line {lineno}: bad row {row!r}") from None
+    if not out:
+        raise ParseError(f"{path}: no data rows")
+    return out
+
+
+def load_digitized_arm(label: str, coords_path: str, risk_path: str, total_events=None) -> DigitizedArm:
+    """Parse and check every value, then build the arm, which checks them all again."""
+    coords = read_two_column_csv(coords_path, COORDS_HEADER, finite_float)
+    risk = read_two_column_csv(risk_path, RISK_HEADER, int)
+    try:
+        return DigitizedArm(label, coords, risk, total_events)
+    except ValueError as exc:
+        raise StructureError(f"{coords_path}, {risk_path}: {exc}") from None
+
+
+@dataclass
+class PassResult:
+    events: list[tuple[float, int]]
+    censor_times: list[float]
+    n_end: int
+    surv_end: float
+
+
+def uniform_positions(start: float, end: float, count: int) -> list[float]:
+    if count <= 0:
+        return []
+    gap = (end - start) / (count + 1)
+    return [start + (g + 1) * gap for g in range(count)]
+
+
+def pass_interval(clicks, censor_times: list[float], n_start: int, surv_start: float) -> PassResult:
+    """Walk the clicks once with a fixed censor placement."""
+    n = n_start
+    surv = surv_start
+    events: list[tuple[float, int]] = []
+    k = 0
+    for t, target in clicks:
+        while k < len(censor_times) and censor_times[k] < t:
+            n -= 1
+            k += 1
+        if n <= 0 or surv <= 0.0:
+            break
+        if target < surv:
+            d = int(round(n * (1.0 - target / surv)))
+            d = min(max(d, 0), n)
+            if d > 0:
+                surv *= 1.0 - d / n
+                n -= d
+                events.append((t, d))
+    n -= len(censor_times) - k
+    return PassResult(events, list(censor_times), n, surv)
+
+
+def reconcile(clicks, t_start, t_end, n_start, surv_start, censor_count, residual):
+    """Adjust the censor count by the residual until it is zero; keep the closest pass."""
+    best: PassResult | None = None
+    best_diff = None
+    seen: set[int] = set()
+    iterations = 0
+    while iterations < ITERATION_CAP:
+        iterations += 1
+        seen.add(censor_count)
+        positions = uniform_positions(t_start, t_end, censor_count)
+        result = pass_interval(clicks, positions, n_start, surv_start)
+        diff = residual(result)
+        if best_diff is None or abs(diff) < abs(best_diff):
+            best, best_diff = result, diff
+        if diff == 0:
+            return result, True, iterations
+        next_count = min(max(censor_count + diff, 0), n_start)
+        if next_count == censor_count or next_count in seen:
+            break
+        censor_count = next_count
+    assert best is not None
+    return best, False, iterations
 
 
 def reconstruct_arm(arm) -> tuple[ArmData, ArmReport]:
@@ -530,7 +682,7 @@ def reconstruct_arm(arm) -> tuple[ArmData, ArmReport]:
                 f"{published_start} to {published_end}"
             )
         implied = int(round(n_cur * survival_before(t_end) / surv)) if surv > 0.0 else 0
-        result, ok, used = _reconcile(
+        result, ok, used = reconcile(
             clicks_between(t_start, t_end),
             t_start,
             t_end,
@@ -552,10 +704,10 @@ def reconstruct_arm(arm) -> tuple[ArmData, ArmReport]:
     tail_clicks = [(t, s) for t, s in coords if t >= t_last]
     t_end_time = max([t for t, _ in coords] + [t_last])
     if arm.total_events is None:
-        result, ok, used = _pass_interval(tail_clicks, [], n_cur, surv), True, 1
+        result, ok, used = pass_interval(tail_clicks, [], n_cur, surv), True, 1
     else:
         target_tail = max(arm.total_events - sum(event_counts), 0)
-        result, ok, used = _reconcile(
+        result, ok, used = reconcile(
             tail_clicks,
             t_last,
             t_end_time,
@@ -591,6 +743,7 @@ def reconstruct_arm(arm) -> tuple[ArmData, ArmReport]:
         achieved_total_events=achieved_events,
         converged=converged and ok and rows_ok and events_ok,
         iterations=iterations_total,
+        misses=[],  # the scanning loop does not say which constraint missed
     )
     return rebuilt, report
 

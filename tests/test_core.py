@@ -230,6 +230,17 @@ class TestDatasetCsv:
         with pytest.raises(ParseError, match=re.escape(f"{path} line 3: not UTF-8 text")):
             load_dataset(str(path))
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "study.csv"
+        path.write_bytes(b"\xef\xbb\xbfarm,time,status\nA,1.0,1\nB,2.0,0\n")
+        assert load_dataset(str(path)).labels == ("A", "B")
+
+    def test_undecodable_byte_after_a_byte_order_mark_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xef\xbb\xbf\n\xff")
+        with pytest.raises(ParseError, match=re.escape(f"{path} line 2: not UTF-8 text")):
+            load_dataset(str(path))
+
     def test_single_arm_is_a_structure_error(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("arm,time,status\nA,1.0,1\nA,2.0,0\n")
@@ -267,6 +278,13 @@ class TestMetadataJson:
         path.write_text('{"study_id": "x", ')
         with pytest.raises(ParseError, match=re.escape(f"{path} line 1 column 19: Expecting property name")):
             load_metadata(str(path))
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        meta = StudyMetadata("trial-1", 0.031, 0.78, {"A": 12.5, "B": None}, "crossing")
+        path = tmp_path / "meta.json"
+        store_metadata(meta, str(path))
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_metadata(str(path)) == meta
 
     def test_rejects_out_of_range_p(self):
         with pytest.raises(ValueError):

@@ -391,6 +391,13 @@ class TestLoadConfig:
         assert config.base_seed == 0
         assert config.workers == 1
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        self.write_study(tmp_path, "alpha", 5)
+        config_path = tmp_path / "bench.json"
+        raw = {"studies": [{"dataset": "alpha.csv", "metadata": "alpha.json"}], "engines": ["case"]}
+        config_path.write_bytes(b"\xef\xbb\xbf" + json.dumps(raw).encode())
+        assert load_config(str(config_path)).engines == ["case-resampling"]
+
     def test_malformed_json_names_the_file_line_and_column(self, tmp_path):
         config_path = tmp_path / "bench.json"
         config_path.write_text('{\n  "engines": ["case"],\n  "studies": [\n')
@@ -568,6 +575,23 @@ class TestCli:
             )
         assert err.value.code == 2
 
+    def test_reconstruct_rejects_a_repeated_arm_label(self, tmp_path, capsys):
+        (tmp_path / "c.csv").write_text("time,survival\n0.0,1.0\n1.0,0.5\n")
+        (tmp_path / "r.csv").write_text("time,n_risk\n0,10\n")
+        with pytest.raises(SystemExit) as err:
+            main(
+                [
+                    "reconstruct",
+                    "--coords", f"A={tmp_path / 'c.csv'},A={tmp_path / 'c.csv'}",
+                    "--risk", f"A={tmp_path / 'r.csv'},A={tmp_path / 'r.csv'}",
+                    "--out", str(tmp_path / "o.csv"),
+                    "--report", str(tmp_path / "r.json"),
+                ]
+            )
+        assert err.value.code == 2
+        assert "--coords names arm 'A' twice" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_simulate_writes_dataset_and_summary(self, tmp_path, capsys):
         source_path = tmp_path / "source.csv"
         store_dataset(synth_study(5, n=40), str(source_path))
@@ -599,6 +623,17 @@ class TestCli:
                   "--seed", seed, "--out", str(tmp_path / "sim.csv")])
         assert err.value.code == 2
         assert "argument --seed" in capsys.readouterr().err
+        assert not (tmp_path / "sim.csv").exists()
+
+    @pytest.mark.parametrize("n_per_arm", ["0", "-5", "x", "2.5"])
+    def test_simulate_size_below_one_or_not_an_integer_is_a_usage_error(self, tmp_path, capsys, n_per_arm):
+        source_path = tmp_path / "source.csv"
+        store_dataset(synth_study(5, n=40), str(source_path))
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--engine", "case", "--input", str(source_path),
+                  "--n-per-arm", n_per_arm, "--out", str(tmp_path / "sim.csv")])
+        assert err.value.code == 2
+        assert "argument --n-per-arm: expected an integer >= 1 or 'source'" in capsys.readouterr().err
         assert not (tmp_path / "sim.csv").exists()
 
     def test_simulate_with_explicit_size(self, tmp_path):

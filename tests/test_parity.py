@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -58,7 +60,7 @@ from survbench.evaluate import (
     tie_ratio,
 )
 from survbench.harness import BenchmarkConfig, StudyRecord, run_benchmark
-from survbench.reconstruct import DigitizedArm, InfeasibleCurveError, reconstruct_arm
+from survbench.reconstruct import DigitizedArm, InfeasibleCurveError, load_digitized_arm, reconstruct_arm
 
 from helpers import synth_study
 
@@ -449,4 +451,105 @@ def test_bisected_reconstruction_matches_the_scanning_loop(inputs):
     rebuilt, report = reconstruct_arm(arm)
     assert rebuilt.times().tobytes() == expected_arm.times().tobytes()
     assert rebuilt.statuses().tobytes() == expected_arm.statuses().tobytes()
-    assert json.dumps(report.to_json()) == json.dumps(expected_report.to_json())
+    got, expected = report.to_json(), expected_report.to_json()
+    assert (got.pop("misses") == []) == report.converged  # the scanning loop records no misses
+    del expected["misses"]
+    assert json.dumps(got) == json.dumps(expected)
+
+
+# digitized CSV texts: well-formed tables with a few odd or malformed lines
+# mixed in; many odd fields still parse ("1_0", " 2.5 ", -0.0, a quoted
+# number) and so reach the table rules instead of the row rules
+_odd_field = st.sampled_from(
+    ("nan", "inf", "-inf", "1e999", "1_0", " 2.5 ", "-0.0", "10.0", "0", "-1", "x", "", '"2.5"', '"1,0"')
+)
+_odd_line = st.one_of(
+    st.tuples(_odd_field | _click_time.map(repr), _odd_field | _click_survival.map(repr)).map(",".join),
+    st.sampled_from(("", "1.0", "1.0,0.5,0.2", "time,survival", '"1.0,0.5"')),
+)
+
+
+@st.composite
+def _csv_text(draw, header, rows):
+    """`rows` as CSV text under `header`, up to two lines replaced or added."""
+    lines = [f"{a!r},{b!r}" for a, b in rows]
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        k = draw(st.integers(0, len(lines)))
+        lines[k:k + draw(st.integers(0, 1))] = [draw(_odd_line)]
+    header = draw(st.sampled_from((header,) * 6 + ("\ufeff" + header, "time,surv")))
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    return newline.join([header] + lines) + draw(st.sampled_from(("", newline)))
+
+
+@st.composite
+def digitized_csv_texts(draw):
+    """(label, coordinates text, risk text, event total)."""
+    clicks = draw(st.lists(st.tuples(_click_time, _click_survival), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        clicks.sort()
+    if draw(st.sampled_from((False,) * 5 + (True,))):  # a negative click time
+        clicks.insert(draw(st.integers(0, len(clicks))), (-0.5, 1.0))
+    n = draw(st.integers(1, 40))
+    first = draw(st.sampled_from((0.0, 0.0, -0.0, 3.0)))  # 3.0 often lies after the first click
+    rows = [(first, n)]
+    for k in sorted(set(draw(st.lists(st.integers(2, 24), max_size=6)))):
+        n = draw(st.integers(1, max(n, 1)) | st.sampled_from((0, -1, n + 1)))  # and a rising count
+        rows.append((k * 0.5, n))
+    if draw(st.sampled_from((False, False, True))):  # a repeated or falling risk time
+        rows.insert(draw(st.integers(0, len(rows))), (draw(_click_time), 5))
+    return (
+        draw(st.sampled_from(("A",) * 5 + ("",))),
+        draw(_csv_text("time,survival", clicks)),
+        draw(_csv_text("time,n_risk", rows)),
+        draw(st.one_of(st.none(), st.integers(-1, 40), st.sampled_from((True, 2.5)))),
+    )
+
+
+def _loaded(load, *args):
+    """The arm's cleaned values as text, or the class and message of what it raised."""
+    try:
+        arm = load(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return repr(arm.coordinates), repr(arm.risk_table), repr(arm.total_events)
+
+
+@settings(deadline=None, max_examples=400)
+@given(digitized_csv_texts())
+@example(("A", "time,survival\n0.0,1.0\n1.0,0.5", "time,n_risk\n0,10\n1.0,1_0\n", None))
+@example(("A", "time,survival\n2.0,0.4\n1.0,0.9\n1.0,-0.0\n-0.0,0.0\n", "time,n_risk\n0.0,10.0\n", 3))
+@example(("", "time,survival\n-1.0,1.0\n", "time,n_risk\n0.0,0\n", -1))
+@example(("A", "time,survival\n-1.0,1.0\n-2.0,0.5\n", "time,n_risk\n0.0,0\n0.0,-1\n", True))
+@example(("A", "time,survival\n0.0,1.0\n", "time,n_risk\n0.0,10\n-1,5\n", None))
+@example(("A", "time,survival\n0.0,1.0\n", "time,n_risk\r\n", None))
+def test_reader_checks_once_and_agrees_with_the_two_pass_reader(texts):
+    label, coords_text, risk_text, total = texts
+    with tempfile.TemporaryDirectory() as tmp:
+        coords, risk = os.path.join(tmp, "c.csv"), os.path.join(tmp, "r.csv")
+        for path, text in ((coords, coords_text), (risk, risk_text)):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        expected = _loaded(oracle.load_digitized_arm, label, coords, risk, total)
+        assert _loaded(load_digitized_arm, label, coords, risk, total) == expected
+
+
+@pytest.mark.parametrize(
+    "coordinates, risk_table, total",
+    [
+        ([(0.0, 1.0), (1.0, math.nan), (2.0, 0.5)], [(0.0, 10)], None),
+        ([(0.0, 1.0), (1.0, 0.5)], [(0.0, True)], None),
+        ([(0.0, 1.0), (1.0, 0.5)], [(0.0, np.bool_(True))], None),
+        ([(0.0, 1.0)], [(0.0, 10), (1.0, math.inf)], None),
+        ([(0.0, 1.0)], [(0.0, 10), (1.0, 2.5)], None),
+        ([(0.0, 1.0)], [(0.0, 10), (1.0, math.nan)], None),
+        ([(0.0, 1.0)], [(0.0, 10), (math.inf, 5)], None),
+        ([(math.inf, 1.0)], [(0.0, 10)], None),
+        ([(np.float64(1.0), np.float64(0.5)), (0, 1)], [(0, np.int64(10)), (np.float64(0.5), 10.0)], np.int64(4)),
+        ([(0.0, 1.0)], [(0.0, 10)], 2.5),
+        ([], [(0.0, 10)], None),
+        ([(0.0, 1.0)], [], None),
+    ],
+)
+def test_digitized_arm_checks_agree_with_the_two_pass_checks(coordinates, risk_table, total):
+    expected = _loaded(oracle.DigitizedArm, "A", coordinates, risk_table, total)
+    assert _loaded(DigitizedArm, "A", coordinates, risk_table, total) == expected

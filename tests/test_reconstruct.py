@@ -15,7 +15,7 @@ from survbench.reconstruct import (
     reconstruct_study,
 )
 
-from helpers import digitize_exact, digitize_study, synth_study
+from helpers import corpus_study, digitize_exact, digitize_study, synth_study
 
 
 class TestDigitizedArmValidation:
@@ -215,6 +215,51 @@ class TestInfeasibleInputs:
         assert int(rebuilt.statuses().sum()) == 10
 
 
+class TestMisses:
+    COORDS = TestEventTotalCalibration.COORDS
+    RISK = TestEventTotalCalibration.RISK
+
+    def test_a_converged_arm_records_none(self):
+        _, report = reconstruct_arm(DigitizedArm("A", self.COORDS, self.RISK, total_events=4))
+        assert report.converged and report.misses == []
+        assert report.to_json()["misses"] == []
+
+    def test_an_unreachable_total_names_the_tail_and_its_residual(self):
+        _, report = reconstruct_arm(DigitizedArm("A", self.COORDS, self.RISK, total_events=20))
+        assert report.misses == [(4.0, 5.0, "event total", -12)]
+
+    def test_a_total_already_passed_inside_the_table_is_found_after_the_loop(self):
+        # three events before the last risk row, so the tail aims at none and reaches it
+        _, report = reconstruct_arm(DigitizedArm("A", self.COORDS, self.RISK, total_events=2))
+        assert report.achieved_total_events == 3
+        assert report.misses == [(4.0, 5.0, "event total", 1)]
+
+    def test_a_missed_risk_row_names_its_interval(self):
+        _, report = reconstruct_arm(
+            DigitizedArm("A", [(0.0, 1.0), (1.0, 0.0)], [(0.0, 10), (2.0, 5)])
+        )
+        assert report.to_json()["misses"] == [
+            {"interval": [0.0, 2.0], "constraint": "risk row", "residual": -5}
+        ]
+
+    def test_every_arm_not_converged_names_a_miss_on_the_corpus(self):
+        not_converged = 0
+        for seed in range(20):
+            dataset = corpus_study(seed)
+            top = max(float(np.max(arm.times())) for arm in dataset.arms)
+            coarse = [digitize_exact(arm, list(np.arange(0.0, top + 6.0, 6.0)), 0.01) for arm in dataset.arms]
+            for arms in (
+                digitize_study(dataset, pooled_risk=True),
+                coarse,
+                [DigitizedArm(a.label, a.coordinates, a.risk_table) for a in coarse],
+            ):
+                _, report = reconstruct_study(tuple(arms), str(seed))
+                for arm_report in report.arms.values():
+                    assert arm_report.converged == (not arm_report.misses)
+                    not_converged += not arm_report.converged
+        assert not_converged > 0
+
+
 class TestStudyLevel:
     def test_duplicate_labels_rejected(self):
         arm = DigitizedArm("A", [(0.0, 1.0), (1.0, 0.5)], [(0.0, 4)])
@@ -281,6 +326,15 @@ class TestCsvLoading:
         risk.write_bytes(b"time,n_risk\n0,10\n\xff2,4\n")
         with pytest.raises(ParseError, match="r.csv line 3: not UTF-8 text"):
             load_digitized_arm("A", coords, str(risk))
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        coords = tmp_path / "c.csv"
+        coords.write_bytes(b"\xef\xbb\xbftime,survival\r\n0.0,1.0\r\n1.0,0.5\r\n")
+        risk = tmp_path / "r.csv"
+        risk.write_bytes(b"\xef\xbb\xbftime,n_risk\r\n0,10\r\n")
+        arm = load_digitized_arm("A", str(coords), str(risk))
+        assert arm.coordinates == [(0.0, 1.0), (1.0, 0.5)]
+        assert arm.risk_table == [(0.0, 10)]
 
     def test_structural_error_names_both_files(self, tmp_path):
         coords = self.write(tmp_path / "c.csv", "time,survival\n0.0,1.0\n1.0,0.5\n")
