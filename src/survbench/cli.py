@@ -7,7 +7,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .core import RandomStream, StudyDataset, load_dataset, store_dataset
+from .core import RandomStream, StudyDataset, counts_ok, load_dataset, store_dataset
 from .engines import build_model, model_summary, simulate
 from .evaluate import evaluate_dataset, store_evaluation
 from .harness import load_config, run_benchmark
@@ -60,20 +60,23 @@ def _seed(text: str) -> int:
 
 
 def _n_per_arm(text: str) -> int | str:
-    """A --n-per-arm value: 'source' or an integer >= 1."""
+    """A --n-per-arm value: 'source' or a count >= 1."""
     if text == "source":
         return text
     try:
         n = int(text)
     except ValueError:
         n = 0
-    if n < 1:
+    if not counts_ok((n,), 1):
         raise argparse.ArgumentTypeError(f"expected an integer >= 1 or 'source', got {text!r}")
     return n
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     dataset = load_dataset(args.input)
+    sizes = [len(arm) for arm in dataset.arms]
+    if args.engine == "condboot" and args.n_per_arm != "source" and set(sizes) != {args.n_per_arm}:
+        parser.error(f"--n-per-arm: condboot keeps each arm's source size {sizes}, got {args.n_per_arm}")
     stream = RandomStream(args.seed, 0)
     arms = []
     summaries = []
@@ -154,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "reconstruct":
         return _cmd_reconstruct(parser, args)
     if args.command == "simulate":
-        return _cmd_simulate(args)
+        return _cmd_simulate(parser, args)
     if args.command == "evaluate":
         return _cmd_evaluate(args)
     if args.command == "bench":

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,6 +14,10 @@ import numpy as np
 CURVE_CLASSES = ("crossing", "non-crossing", "non-crossing-late-effect")
 
 DATASET_HEADER = ("arm", "time", "status")
+
+# the largest count: every integer up to it is exact as a float, and counts
+# enter float arithmetic (survival factors, at-risk products)
+MAX_COUNT = 2**53
 
 
 class ParseError(ValueError):
@@ -23,6 +28,73 @@ class StructureError(ValueError):
     """A file parsed but violates structural requirements."""
 
 
+def times_ok(times) -> bool:
+    """The time rule, for one time or every value of a list or array: finite and >= 0."""
+    if isinstance(times, (list, tuple)):  # a reader's column: builtins beat numpy's fixed cost
+        return all(map(math.isfinite, times)) and min(times, default=0.0) >= 0.0
+    times = np.asarray(times, dtype=float)
+    return bool(((times >= 0.0) & (times < np.inf)).all())
+
+
+def counts_ok(counts, minimum: int = 0) -> bool:
+    """The count rule, for every value of `counts`: an integer (a Python or
+    numpy integer, never a bool) from `minimum` to MAX_COUNT."""
+    integers = all(issubclass(kind, numbers.Integral) and kind is not bool for kind in set(map(type, counts)))
+    return integers and minimum <= min(counts, default=minimum) and max(counts, default=minimum) <= MAX_COUNT
+
+
+def check_labels(path: str, keys, labels) -> None:
+    """The label rule: every key of a side file names one of the arms
+    `labels`; a misspelt label would otherwise drop its figure unnoticed."""
+    unknown = [key for key in keys if key not in labels]
+    if unknown:
+        raise StructureError(
+            f"{path}: no arm is labelled {', '.join(map(repr, unknown))} "
+            f"(the arms are {', '.join(map(repr, labels))})"
+        )
+
+
+_JSON_KINDS = {
+    "a JSON object": (dict,),
+    "a JSON array": (list,),
+    "a JSON string": (str,),
+    "a JSON integer": (int,),
+    "a JSON number": (int, float),
+    "a JSON number or null": (int, float, type(None)),
+}
+_REQUIRED = object()
+
+
+def json_value(path: str, value, kind: str, name: str | None = None):
+    """`value` if its JSON type is `kind`, one of ``_JSON_KINDS`` (a bool is
+    never a number); otherwise a StructureError naming the file and `name`,
+    the key (None: the whole file). A value that cannot be read as the
+    number wanted at all is reported with Python's reason."""
+    types = _JSON_KINDS[kind]
+    if type(value) in types:
+        return value
+    if name is None:
+        raise StructureError(f"{path}: expected {kind}, got {type(value).__name__}")
+    reason = ""
+    if int in types:
+        try:
+            (float if float in types else int)(value)
+        except (TypeError, ValueError) as exc:
+            reason = f" ({exc})"
+    raise StructureError(f"{path}: {name} must be {kind}, got {value!r}{reason}")
+
+
+def json_field(path: str, obj: dict, key: str, kind: str, what: str, default=_REQUIRED):
+    """The JSON fields rule: `obj[key]` (or `default` when it is absent and
+    one is given), of JSON type `kind`; `what` names the file's role in the
+    message for a missing key."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise StructureError(f"{path}: missing {what} key {key!r}")
+        return default
+    return json_value(path, obj[key], kind, key)
+
+
 @dataclass(frozen=True)
 class Observation:
     """One subject: follow-up time and event indicator (1 event, 0 censored)."""
@@ -31,7 +103,7 @@ class Observation:
     status: int
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.time) or self.time < 0.0:
+        if not times_ok((self.time,)):
             raise ValueError(f"observation time must be finite and >= 0, got {self.time}")
         if self.status not in (0, 1):
             raise ValueError(f"status must be 0 or 1, got {self.status}")
@@ -118,7 +190,7 @@ def _check_arm_columns(label: str, times, status) -> None:
         raise ValueError(f"arm {label!r} has no observations")
     if times.ndim != 1 or status.shape != times.shape:
         raise ValueError(f"arm {label!r}: times and status must be 1-d and of equal length")
-    if not np.all(np.isfinite(times) & (times >= 0.0)):
+    if not times_ok(times):
         raise ValueError(f"arm {label!r}: observation times must be finite and >= 0")
     if not np.all((status == 0) | (status == 1)):
         raise ValueError(f"arm {label!r}: status must be 0 or 1")
@@ -323,34 +395,56 @@ def read_json(path: str):
         raise ParseError(f"{path} line {exc.lineno} column {exc.colno}: {exc.msg}") from None
 
 
+def read_table(path: str, header: tuple[str, ...], columns) -> list[list]:
+    """The data rows of a CSV file under the header row `header`, one list per column.
+
+    `columns` gives per column a builtin that converts a field's text, the
+    rule its values obey (a check on a whole column, as ``times_ok``) and
+    the message for a field that fails either, which may name the `field`
+    and its `row`. Each column is converted and checked whole; only when
+    one fails are the rows read one at a time, to name the first bad line.
+    """
+    rows = read_csv_rows(path)
+    if not rows or tuple(rows[0]) != header:
+        raise ParseError(f"{path} line 1: expected header {','.join(header)}")
+    body = rows[1:]
+    if set(map(len, body)) <= {len(header)}:
+        try:
+            values = [list(map(convert, fields)) for (convert, _, _), fields in zip(columns, zip(*body))]
+            if all(rule(column) for (_, rule, _), column in zip(columns, values)):
+                return values or [[] for _ in header]
+        except (KeyError, ValueError):
+            pass
+    for lineno, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise ParseError(f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}")
+        for (convert, rule, message), field in zip(columns, row):
+            try:
+                ok = rule([convert(field)])
+            except (KeyError, ValueError):
+                ok = False
+            if not ok:
+                raise ParseError(f"{path} line {lineno}: {message.format(field=field, row=row)}")
+    raise AssertionError("a column failed but none of its rows did")
+
+
+_DATASET_COLUMNS = (
+    (str, all, "empty arm label"),
+    (float, times_ok, "time must be finite and >= 0, got {field!r}"),
+    ({"0": 0, "1": 1}.__getitem__, lambda column: True, "status must be 0 or 1, got {field!r}"),
+)
+
+
 def load_dataset(path: str) -> StudyDataset:
     """Read a two-arm study from an arm,time,status CSV."""
-    rows = read_csv_rows(path)
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    if tuple(rows[0]) != DATASET_HEADER:
-        raise ParseError(f"{path} line 1: expected header {','.join(DATASET_HEADER)}")
-    by_arm: dict[str, list[tuple[float, int]]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise ParseError(f"{path} line {lineno}: expected 3 fields, got {len(row)}")
-        label = row[0]
-        if not label:
-            raise ParseError(f"{path} line {lineno}: empty arm label")
-        try:
-            time = float(row[1])
-        except ValueError:
-            raise ParseError(f"{path} line {lineno}: bad time {row[1]!r}") from None
-        if not math.isfinite(time) or time < 0.0:
-            raise ParseError(f"{path} line {lineno}: time must be finite and >= 0")
-        if row[2] not in ("0", "1"):
-            raise ParseError(f"{path} line {lineno}: status must be 0 or 1, got {row[2]!r}")
-        by_arm.setdefault(label, []).append((time, int(row[2])))
-    if len(by_arm) != 2:
-        raise StructureError(f"{path}: expected exactly 2 arm labels, got {sorted(by_arm)}")
-    # every row is checked above
-    arms = tuple(ArmData._from_columns(label, *zip(*pairs)) for label, pairs in by_arm.items())
-    return StudyDataset(arms)  # type: ignore[arg-type]
+    labels, times, status = read_table(path, DATASET_HEADER, _DATASET_COLUMNS)
+    arms = list(dict.fromkeys(labels))  # in order of first appearance
+    if len(arms) != 2:
+        raise StructureError(f"{path}: expected exactly 2 arm labels, got {sorted(arms)}")
+    labels, times, status = np.array(labels), np.array(times), np.array(status, dtype=np.int64)
+    # every value is checked by the reader
+    columns = ((arm, times[labels == arm], status[labels == arm]) for arm in arms)
+    return StudyDataset(tuple(ArmData._from_columns(*arm) for arm in columns))
 
 
 def store_dataset(dataset: StudyDataset, path: str) -> None:
@@ -362,35 +456,36 @@ def store_dataset(dataset: StudyDataset, path: str) -> None:
             writer.writerows(zip([arm.label] * len(arm), times, arm.statuses().tolist()))
 
 
+# the metadata file's keys, in the order they are written, and their JSON types
+_METADATA_FIELDS = (
+    ("study_id", "a JSON string"),
+    ("reported_logrank_p", "a JSON number"),
+    ("reported_hazard_ratio", "a JSON number or null"),
+    ("reported_medians", "a JSON object"),
+    ("curve_class", "a JSON string"),
+)
+
+
 def load_metadata(path: str) -> StudyMetadata:
-    raw = read_json(path)
+    raw = json_value(path, read_json(path), "a JSON object")
+    fields = (json_field(path, raw, key, kind, "metadata") for key, kind in _METADATA_FIELDS)
+    study_id, p, hr, medians, curve_class = fields
+    for label, median in medians.items():
+        json_value(path, median, "a JSON number or null", f"reported_medians[{label!r}]")
     try:
-        medians = raw["reported_medians"]
-        if not isinstance(medians, dict):
-            raise ValueError(f"reported_medians must map arm labels to medians, got {medians!r}")
         return StudyMetadata(
-            study_id=raw["study_id"],
-            reported_logrank_p=float(raw["reported_logrank_p"]),
-            reported_hazard_ratio=(
-                None if raw["reported_hazard_ratio"] is None else float(raw["reported_hazard_ratio"])
-            ),
-            reported_medians={str(k): (None if v is None else float(v)) for k, v in medians.items()},
-            curve_class=raw["curve_class"],
+            study_id=study_id,
+            reported_logrank_p=float(p),
+            reported_hazard_ratio=None if hr is None else float(hr),
+            reported_medians={k: None if v is None else float(v) for k, v in medians.items()},
+            curve_class=curve_class,
         )
-    except KeyError as exc:
-        raise StructureError(f"{path}: missing metadata key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise StructureError(f"{path}: {exc}") from None
 
 
 def store_metadata(meta: StudyMetadata, path: str) -> None:
-    payload = {
-        "study_id": meta.study_id,
-        "reported_logrank_p": meta.reported_logrank_p,
-        "reported_hazard_ratio": meta.reported_hazard_ratio,
-        "reported_medians": meta.reported_medians,
-        "curve_class": meta.curve_class,
-    }
+    payload = {key: getattr(meta, key) for key, _ in _METADATA_FIELDS}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

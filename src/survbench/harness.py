@@ -17,6 +17,9 @@ from .core import (
     StructureError,
     StudyDataset,
     StudyMetadata,
+    check_labels,
+    json_field,
+    json_value,
     load_dataset,
     load_metadata,
     read_json,
@@ -287,40 +290,39 @@ def emit_reports(config: BenchmarkConfig, result: BenchmarkResult, outdir: str) 
     return written
 
 
-def _json_integer(raw: dict, key: str, default: int) -> int:
-    """A config count or seed: a JSON integer, never a bool, float or string converted."""
-    value = raw.get(key, default)
-    if type(value) is not int:
-        int(value)  # None, a list or a non-numeric string fails with int()'s own message
-        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
-    return value
-
-
 def load_config(path: str) -> BenchmarkConfig:
-    """Read a benchmark-config JSON; study paths resolve relative to it."""
-    raw = read_json(path)
+    """Read a benchmark-config JSON; study paths resolve relative to it.
+
+    Each study's ``reported_medians`` must name arms of its dataset (the label rule).
+    """
+    raw = json_value(path, read_json(path), "a JSON object")
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    try:
-        entries = [(entry["dataset"], entry["metadata"]) for entry in raw["studies"]]
-        engines = list(raw["engines"])
-    except KeyError as exc:
-        raise StructureError(f"{path}: missing config key {exc}") from None
+    def items(key: str, kind: str) -> list:
+        values = json_field(path, raw, key, "a JSON array", "config")
+        return [json_value(path, v, kind, f"{key}[{i}]") for i, v in enumerate(values)]
+
+    entries = [
+        [resolve(json_field(path, entry, key, "a JSON string", "config")) for key in ("dataset", "metadata")]
+        for entry in items("studies", "a JSON object")
+    ]
+    engines = items("engines", "a JSON string")
     studies = []
     for dataset_path, metadata_path in entries:
-        dataset = load_dataset(resolve(dataset_path))
-        metadata = load_metadata(resolve(metadata_path))
+        dataset = load_dataset(dataset_path)
+        metadata = load_metadata(metadata_path)
         studies.append(StudyRecord(dataset, metadata, evaluate_dataset(dataset)))
+    iterations, seed, workers = (
+        json_field(path, raw, key, "a JSON integer", "config", default)
+        for key, default in (("iterations", 10000), ("seed", 0), ("workers", 1))
+    )
     try:
-        return BenchmarkConfig(
-            studies=studies,
-            engines=engines,
-            iterations=_json_integer(raw, "iterations", 10000),
-            base_seed=_json_integer(raw, "seed", 0),
-            workers=_json_integer(raw, "workers", 1),
-        )
+        config = BenchmarkConfig(studies, engines, iterations, seed, workers=workers)
     except (TypeError, ValueError) as exc:
         raise StructureError(f"{path}: {exc}") from None
+    for record, (_, metadata_path) in zip(studies, entries):
+        check_labels(metadata_path, record.metadata.reported_medians, record.dataset.labels)
+    return config

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
+import operator
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -21,14 +21,19 @@ from operator import itemgetter
 import numpy as np
 
 from .core import (
+    MAX_COUNT,
     ArmData,
     ParseError,
     StructureError,
     StudyDataset,
     arm_from_arrays,
+    check_labels,
+    counts_ok,
+    json_value,
     km_estimate,
-    read_csv_rows,
     read_json,
+    read_table,
+    times_ok,
 )
 
 ITERATION_CAP = 1000
@@ -46,7 +51,7 @@ class DigitizedArm:
     """One digitized arm: curve clicks, risk table, optional event total.
 
     The constructor checks every value. ``load_digitized_arm`` checks values as
-    it parses them, then ``_from_rows`` applies only the rules on the whole table.
+    it parses them, then ``_from_columns`` applies only the rules on the whole table.
     """
 
     label: str
@@ -59,71 +64,73 @@ class DigitizedArm:
         for t, s in coordinates:
             if math.isnan(s):
                 raise ValueError(f"bad coordinate survival {s} at time {t}")
-        # a count that is not a positive integer fails the table's n >= 1 rule in its row
-        self.risk_table = [(t, int(n) if _is_positive_count(n) else 0) for t, n in self.risk_table]
-        self._settle(coordinates)
-        self.risk_table = [(float(t), n) for t, n in self.risk_table]
+        risk_times, counts = _columns(self.risk_table)
+        counts = [int(n) if isinstance(n, float) and n.is_integer() else n for n in counts]  # 10.0 is 10
+        self._settle(*_columns(coordinates), risk_times, counts)
+        self.risk_table = [(float(t), int(n)) for t, n in self.risk_table]
 
     @classmethod
-    def _from_rows(cls, label: str, coordinates, risk_table, total_events) -> DigitizedArm:
-        """The constructor for rows of finite floats and int counts, as the reader parses them."""
+    def _from_columns(cls, label: str, times, survivals, risk_times, counts, total_events) -> DigitizedArm:
+        """The constructor for the reader's columns: finite floats, and int counts up to MAX_COUNT."""
         arm = cls.__new__(cls)
-        arm.label, arm.risk_table, arm.total_events = label, risk_table, total_events
-        arm._settle(coordinates)
+        arm.label, arm.total_events = label, total_events
+        arm._settle(times, survivals, risk_times, counts, rows_checked=True)
         return arm
 
-    def _settle(self, coordinates: list[tuple[float, float]]) -> None:
+    def _settle(self, times, survivals, risk_times, counts, rows_checked: bool = False) -> None:
         """Check the rules on the table as a whole and clean the curve."""
         if not self.label:
             raise ValueError("arm label must be non-empty")
-        if not coordinates:
+        if not times:
             raise ValueError(f"arm {self.label!r}: no curve coordinates")
-        if not self.risk_table:
+        if not risk_times:
             raise ValueError(f"arm {self.label!r}: empty risk table")
-        self.coordinates = _monotonize(coordinates)
-        prev_t = -math.inf
-        for t, n in self.risk_table:
-            if not 0.0 <= t < math.inf:
-                raise ValueError(f"arm {self.label!r}: bad risk time {t}")
-            if t <= prev_t:
-                raise ValueError(f"arm {self.label!r}: risk times must be strictly increasing")
-            if n < 1:
-                raise ValueError(f"arm {self.label!r}: n_at_risk must be a positive integer")
-            prev_t = t
+        if not times_ok(times):
+            raise ValueError(f"bad coordinate time {next(t for t in times if not times_ok(t))}")
+        self.coordinates = _monotonize(times, survivals)
+        self.risk_table = list(zip(risk_times, counts))
+        # rows a reader checked hold finite times and int counts up to MAX_COUNT: then rising times
+        # whose first keeps the time rule, and a least count that keeps the count rule, keep both
+        # rules in every row. Otherwise every row is checked, naming the first bad one.
+        if not (
+            rows_checked
+            and all(map(operator.lt, risk_times, islice(risk_times, 1, None)))
+            and times_ok(risk_times[:1])
+            and counts_ok((min(counts),), 1)
+        ):
+            prev_t = -math.inf  # within a row, the rules in this order
+            for t, n in self.risk_table:
+                if not times_ok((t,)):
+                    raise ValueError(f"arm {self.label!r}: bad risk time {t}")
+                if t <= prev_t:
+                    raise ValueError(f"arm {self.label!r}: risk times must be strictly increasing")
+                if not counts_ok((n,), 1):
+                    raise ValueError(f"arm {self.label!r}: n_at_risk must be a positive integer")
+                prev_t = t
         if self.risk_table[0][0] > self.coordinates[0][0]:
             raise ValueError(f"arm {self.label!r}: first risk time must not exceed the first coordinate")
         if self.total_events is not None:
-            self.total_events = _check_event_total(self.label, self.total_events)
+            if not counts_ok((self.total_events,)):
+                raise ValueError(_TOTAL_RULE.format(self.label, self.total_events))
+            self.total_events = int(self.total_events)
 
 
-def _is_positive_count(n) -> bool:
-    if isinstance(n, (bool, np.bool_)):  # bools are not counts
-        return False
-    try:
-        return int(n) == n and n >= 1
-    except (OverflowError, ValueError):  # inf, nan
-        return False
+_TOTAL_RULE = "arm {!r}: total_events must be an integer >= 0, got {!r}"
 
 
-def _check_event_total(label: str, total) -> int:
-    """A published event total: a non-negative integer (bools are not counts)."""
-    if isinstance(total, bool) or not isinstance(total, numbers.Integral) or total < 0:
-        raise ValueError(f"arm {label!r}: total_events must be an integer >= 0, got {total!r}")
-    return int(total)
+def _columns(pairs) -> tuple[tuple, tuple]:
+    return tuple(zip(*pairs)) or ((), ())
 
 
-def _monotonize(coords: list[tuple[float, float]]) -> list[tuple[float, float]]:
+def _monotonize(times, survivals) -> list[tuple[float, float]]:
     """Sort by time, collapse duplicate times and force survival downhill.
 
-    `coords` are pairs of floats, no survival nan. A repeated time keeps its
-    first click and its least survival.
+    The columns hold floats, times finite and >= 0, no survival nan. A
+    repeated time keeps its first click and its least survival.
     """
-    for t, _ in coords:
-        if not 0.0 <= t < math.inf:
-            raise ValueError(f"bad coordinate time {t}")
     out: list[tuple[float, float]] = []
     last = least = floor = math.nan  # floor: the survival before time `last`
-    for t, s in sorted(coords, key=itemgetter(0)):  # stable: repeated times keep their order
+    for t, s in sorted(zip(times, survivals), key=itemgetter(0)):  # stable: repeated times keep their order
         s = 0.0 if s < 0.0 else 1.0 if s > 1.0 else s  # clamp, keeping -0.0 as np.clip does
         if t == last:
             least = least if least < s else s
@@ -333,39 +340,27 @@ def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
 def reconstruct_study(
     arms: tuple[DigitizedArm, DigitizedArm], study_id: str | None = None
 ) -> tuple[StudyDataset, ReconstructionReport]:
-    """Rebuild both arms and bundle the per-arm quality reports."""
-    if len(arms) != 2:
-        raise ValueError(f"a study needs exactly 2 digitized arms, got {len(arms)}")
-    if arms[0].label == arms[1].label:
-        raise ValueError(f"arm labels must differ, both are {arms[0].label!r}")
+    """Rebuild both arms and bundle the per-arm quality reports.
+
+    ``StudyDataset`` rejects other than two arms, or two with one label.
+    """
     rebuilt = [reconstruct_arm(arm) for arm in arms]
     report = ReconstructionReport(study_id, {arm.label: rep for arm, (_, rep) in zip(arms, rebuilt)})
     return StudyDataset(tuple(data for data, _ in rebuilt)), report
 
 
-def _read_rows(path: str, header: tuple[str, str], value_type: type) -> list[tuple[float, float]]:
-    """The data rows of a two-column CSV as (float, `value_type`) pairs of finite values."""
-    rows = read_csv_rows(path)
-    if not rows or tuple(rows[0]) != header:
-        raise ParseError(f"{path} line 1: expected header {','.join(header)}")
-    out = []
-    isfinite = math.isfinite
-    ints = value_type is int  # an int is finite, and may be too large for isfinite
-    try:
-        for a, b in islice(rows, 1, None):  # a row of other than two fields raises ValueError
-            t, v = float(a), value_type(b)
-            if not (isfinite(t) and (ints or isfinite(v))):
-                raise ValueError
-            out.append((t, v))
-    except ValueError:
-        lineno = len(out) + 2
-        row = rows[lineno - 1]
-        if len(row) != 2:
-            raise ParseError(f"{path} line {lineno}: expected 2 fields, got {len(row)}") from None
-        raise ParseError(f"{path} line {lineno}: bad row {row!r}") from None
-    if not out:
+_FINITE = (float, lambda column: all(map(math.isfinite, column)), "bad row {row!r}")
+# int() reads an integer, so of the count rule only the bound is left to a row;
+# the least count, n_at_risk >= 1, is a rule of the table
+_COUNT = (int, lambda column: max(column, default=0) <= MAX_COUNT, "bad row {row!r}")
+
+
+def _read_columns(path: str, header: tuple[str, str], value) -> list[list]:
+    """The time and `value` columns of a digitized CSV, each a list of finite numbers."""
+    columns = read_table(path, header, (_FINITE, value))
+    if not columns[0]:
         raise ParseError(f"{path}: no data rows")
-    return out
+    return columns
 
 
 def load_digitized_arm(
@@ -374,12 +369,12 @@ def load_digitized_arm(
     """Read one arm from its coordinate and risk-table CSV pair.
 
     Each value is converted and checked once, as it is parsed; the arm is
-    built from the parsed rows without checking their values again.
+    built from the parsed columns without checking their values again.
     """
-    coords = _read_rows(coords_path, COORDS_HEADER, float)
-    risk = _read_rows(risk_path, RISK_HEADER, int)
+    coords = _read_columns(coords_path, COORDS_HEADER, _FINITE)
+    risk = _read_columns(risk_path, RISK_HEADER, _COUNT)
     try:
-        return DigitizedArm._from_rows(label, coords, risk, total_events)
+        return DigitizedArm._from_columns(label, *coords, *risk, total_events)
     except ValueError as exc:
         raise StructureError(f"{coords_path}, {risk_path}: {exc}") from None
 
@@ -387,22 +382,11 @@ def load_digitized_arm(
 def load_event_totals(path: str, labels: Sequence[str]) -> dict[str, int | None]:
     """Read a JSON object mapping arm label to event total (``null``: unconstrained).
 
-    Every key must name one of the arms in `labels`: a misspelt label would
-    otherwise drop its arm's constraint without a word.
+    Every key must name one of the arms in `labels` (the label rule).
     """
-    totals = read_json(path)
-    if not isinstance(totals, dict):
-        raise StructureError(f"{path}: expected a JSON object mapping arm label to event total")
-    unknown = [label for label in totals if label not in labels]
-    if unknown:
-        raise StructureError(
-            f"{path}: no arm is labelled {', '.join(map(repr, unknown))} "
-            f"(the arms are {', '.join(map(repr, labels))})"
-        )
-    try:
-        return {
-            label: None if total is None else _check_event_total(label, total)
-            for label, total in totals.items()
-        }
-    except ValueError as exc:
-        raise StructureError(f"{path}: {exc}") from None
+    totals = json_value(path, read_json(path), "a JSON object")
+    check_labels(path, totals, labels)
+    for label, total in totals.items():
+        if total is not None and not counts_ok((total,)):
+            raise StructureError(f"{path}: {_TOTAL_RULE.format(label, total)}")
+    return totals

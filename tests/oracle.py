@@ -21,7 +21,10 @@ through a dict of click times, as the reader used to; ``reconstruct_arm``
 rebuilds an arm by scanning every click for every risk interval, running
 each interval's fixed point through ``reconcile`` with a residual
 function, a fresh list of censor positions and a ``PassResult`` per pass,
-as reconstruction used to.
+as reconstruction used to. ``load_dataset``, ``load_metadata``,
+``load_event_totals`` and ``load_config`` check their inputs each with its
+own copy of the time, count, label and JSON-field rules, as the readers
+used to.
 ``test_parity.py`` requires the package to agree with them exactly, so a
 rewrite that reorders arithmetic or random draws shows up as a failure
 rather than as a drift in the last digit.
@@ -32,6 +35,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass
 
@@ -47,9 +51,12 @@ from survbench.core import (
     ParseError,
     RandomStream,
     StructureError,
+    DATASET_HEADER,
     StudyDataset,
+    StudyMetadata,
     arm_from_arrays,
     read_csv_rows,
+    read_json,
 )
 from survbench.distributions import (
     _FAMILIES,
@@ -78,6 +85,7 @@ from survbench.evaluate import (
     LogrankResult,
     _EventTable,
 )
+from survbench.harness import BenchmarkConfig, StudyRecord
 from survbench.reconstruct import COORDS_HEADER, ITERATION_CAP, RISK_HEADER, ArmReport, InfeasibleCurveError
 
 
@@ -837,3 +845,109 @@ def fit_candidates(sample_values) -> tuple[list[FittedDistribution], dict[str, s
         except (SupportError, FitFailureError) as exc:
             failures[family_id] = str(exc)
     return fits, failures
+
+
+# ---------------------------------------------------------------------------
+# the readers as they checked their inputs before the rules moved into core:
+# each with its own copy of the time, count, label and JSON-field checks
+
+
+def load_dataset(path: str) -> StudyDataset:
+    rows = read_csv_rows(path)
+    if not rows:
+        raise ParseError(f"{path}: empty file")
+    if tuple(rows[0]) != DATASET_HEADER:
+        raise ParseError(f"{path} line 1: expected header {','.join(DATASET_HEADER)}")
+    by_arm: dict[str, list[tuple[float, int]]] = {}
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != 3:
+            raise ParseError(f"{path} line {lineno}: expected 3 fields, got {len(row)}")
+        label = row[0]
+        if not label:
+            raise ParseError(f"{path} line {lineno}: empty arm label")
+        try:
+            time = float(row[1])
+        except ValueError:
+            raise ParseError(f"{path} line {lineno}: bad time {row[1]!r}") from None
+        if not math.isfinite(time) or time < 0.0:
+            raise ParseError(f"{path} line {lineno}: time must be finite and >= 0")
+        if row[2] not in ("0", "1"):
+            raise ParseError(f"{path} line {lineno}: status must be 0 or 1, got {row[2]!r}")
+        by_arm.setdefault(label, []).append((time, int(row[2])))
+    if len(by_arm) != 2:
+        raise StructureError(f"{path}: expected exactly 2 arm labels, got {sorted(by_arm)}")
+    return StudyDataset(tuple(ArmData._from_columns(label, *zip(*pairs)) for label, pairs in by_arm.items()))
+
+
+def load_metadata(path: str) -> StudyMetadata:
+    raw = read_json(path)
+    try:
+        medians = raw["reported_medians"]
+        if not isinstance(medians, dict):
+            raise ValueError(f"reported_medians must map arm labels to medians, got {medians!r}")
+        return StudyMetadata(
+            study_id=raw["study_id"],
+            reported_logrank_p=float(raw["reported_logrank_p"]),
+            reported_hazard_ratio=(
+                None if raw["reported_hazard_ratio"] is None else float(raw["reported_hazard_ratio"])
+            ),
+            reported_medians={str(k): (None if v is None else float(v)) for k, v in medians.items()},
+            curve_class=raw["curve_class"],
+        )
+    except KeyError as exc:
+        raise StructureError(f"{path}: missing metadata key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise StructureError(f"{path}: {exc}") from None
+
+
+def load_event_totals(path: str, labels) -> dict[str, int | None]:
+    totals = read_json(path)
+    if not isinstance(totals, dict):
+        raise StructureError(f"{path}: expected a JSON object mapping arm label to event total")
+    unknown = [label for label in totals if label not in labels]
+    if unknown:
+        raise StructureError(
+            f"{path}: no arm is labelled {', '.join(map(repr, unknown))} "
+            f"(the arms are {', '.join(map(repr, labels))})"
+        )
+    try:
+        return {label: None if total is None else check_event_total(label, total) for label, total in totals.items()}
+    except ValueError as exc:
+        raise StructureError(f"{path}: {exc}") from None
+
+
+def json_integer(raw: dict, key: str, default: int) -> int:
+    value = raw.get(key, default)
+    if type(value) is not int:
+        int(value)
+        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
+def load_config(path: str) -> BenchmarkConfig:
+    raw = read_json(path)
+    base = os.path.dirname(os.path.abspath(path))
+
+    def resolve(p: str) -> str:
+        return p if os.path.isabs(p) else os.path.join(base, p)
+
+    try:
+        entries = [(entry["dataset"], entry["metadata"]) for entry in raw["studies"]]
+        engines = list(raw["engines"])
+    except KeyError as exc:
+        raise StructureError(f"{path}: missing config key {exc}") from None
+    studies = []
+    for dataset_path, metadata_path in entries:
+        dataset = load_dataset(resolve(dataset_path))
+        metadata = load_metadata(resolve(metadata_path))
+        studies.append(StudyRecord(dataset, metadata, evaluate_dataset(dataset)))
+    try:
+        return BenchmarkConfig(
+            studies=studies,
+            engines=engines,
+            iterations=json_integer(raw, "iterations", 10000),
+            base_seed=json_integer(raw, "seed", 0),
+            workers=json_integer(raw, "workers", 1),
+        )
+    except (TypeError, ValueError) as exc:
+        raise StructureError(f"{path}: {exc}") from None

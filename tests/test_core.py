@@ -316,6 +316,11 @@ class TestMetadataJson:
             ("reported_medians", [12.5, None]),
             ("reported_medians", {"A": "nan", "B": None}),
             ("curve_class", "sideways"),
+            ("reported_logrank_p", "0.5"),
+            ("reported_logrank_p", True),
+            ("reported_hazard_ratio", True),
+            ("reported_medians", {"A": True, "B": None}),
+            ("study_id", [5]),
         ],
     )
     def test_bad_value_names_the_file(self, tmp_path, key, value):
@@ -331,6 +336,13 @@ class TestMetadataJson:
         path.write_text(json.dumps(payload))
         with pytest.raises(StructureError, match=re.escape(str(path))):
             load_metadata(str(path))
+
+
+def test_metadata_that_is_not_an_object_names_the_file(tmp_path):
+    path = tmp_path / "meta.json"
+    path.write_text("[1]")
+    with pytest.raises(StructureError, match=re.escape(f"{path}: expected a JSON object, got list")):
+        load_metadata(str(path))
 
 
 def test_arm_from_arrays_round_trips_times_and_statuses():

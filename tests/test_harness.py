@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from survbench.core import (
+    MAX_COUNT,
     ArmData,
     Observation,
     ParseError,
@@ -461,6 +462,40 @@ class TestLoadConfig:
         with pytest.raises(StructureError, match=re.escape(f"{config_path}: {message}")):
             load_config(str(config_path))
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ([1], "expected a JSON object, got list"),
+            ({"studies": {"a": 1}, "engines": ["case"]}, "studies must be a JSON array, got {'a': 1}"),
+            ({"studies": [1], "engines": ["case"]}, "studies[0] must be a JSON object, got 1"),
+            ({"studies": [{"dataset": 5, "metadata": "alpha.json"}], "engines": ["case"]},
+             "dataset must be a JSON string, got 5"),
+            ({"studies": [{"dataset": "alpha.csv", "metadata": "alpha.json"}], "engines": "case"},
+             "engines must be a JSON array, got 'case'"),
+            ({"studies": [{"dataset": "alpha.csv", "metadata": "alpha.json"}], "engines": ["case", 5]},
+             "engines[1] must be a JSON string, got 5"),
+        ],
+    )
+    def test_a_config_of_the_wrong_shape_names_the_file(self, tmp_path, raw, message):
+        self.write_study(tmp_path, "alpha", 5)
+        config_path = tmp_path / "bench.json"
+        config_path.write_text(json.dumps(raw))
+        with pytest.raises(StructureError, match=re.escape(f"{config_path}: {message}")):
+            load_config(str(config_path))
+
+    def test_reported_medians_must_name_arms_of_the_study(self, tmp_path):
+        self.write_study(tmp_path, "alpha", 5)
+        meta_path = tmp_path / "alpha.json"
+        meta = json.loads(meta_path.read_text())
+        meta["reported_medians"] = {"a": 3.0, "B": None}
+        meta_path.write_text(json.dumps(meta))
+        config_path = tmp_path / "bench.json"
+        raw = {"studies": [{"dataset": "alpha.csv", "metadata": "alpha.json"}], "engines": ["case"]}
+        config_path.write_text(json.dumps(raw))
+        message = f"{meta_path}: no arm is labelled 'a' (the arms are 'A', 'B')"
+        with pytest.raises(StructureError, match=re.escape(message)):
+            load_config(str(config_path))
+
     def test_largest_seed_is_accepted(self, tmp_path):
         self.write_study(tmp_path, "alpha", 5)
         raw = {"studies": [{"dataset": "alpha.csv", "metadata": "alpha.json"}], "engines": ["case"]}
@@ -522,6 +557,7 @@ class TestCli:
             ('{"A": "x"}', "arm 'A': total_events must be an integer >= 0, got 'x'"),
             ('{"A": -4}', "arm 'A': total_events must be an integer >= 0, got -4"),
             ("[1, 2]", "expected a JSON object"),
+            ('{"A": 1%s}' % ("0" * 20), f"arm 'A': total_events must be an integer >= 0, got 1{'0' * 20}"),
         ],
     )
     def test_reconstruct_rejects_bad_event_totals(self, tmp_path, meta, message):
@@ -625,7 +661,7 @@ class TestCli:
         assert "argument --seed" in capsys.readouterr().err
         assert not (tmp_path / "sim.csv").exists()
 
-    @pytest.mark.parametrize("n_per_arm", ["0", "-5", "x", "2.5"])
+    @pytest.mark.parametrize("n_per_arm", ["0", "-5", "x", "2.5", str(MAX_COUNT + 1)])
     def test_simulate_size_below_one_or_not_an_integer_is_a_usage_error(self, tmp_path, capsys, n_per_arm):
         source_path = tmp_path / "source.csv"
         store_dataset(synth_study(5, n=40), str(source_path))
@@ -635,6 +671,23 @@ class TestCli:
         assert err.value.code == 2
         assert "argument --n-per-arm: expected an integer >= 1 or 'source'" in capsys.readouterr().err
         assert not (tmp_path / "sim.csv").exists()
+
+    def test_condboot_with_another_size_is_a_usage_error(self, tmp_path, capsys):
+        source_path = tmp_path / "source.csv"
+        store_dataset(synth_study(5, n=40), str(source_path))
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--engine", "condboot", "--input", str(source_path),
+                  "--n-per-arm", "25", "--out", str(tmp_path / "sim.csv")])
+        assert err.value.code == 2
+        assert "--n-per-arm: condboot keeps each arm's source size [40, 40], got 25" in capsys.readouterr().err
+        assert not (tmp_path / "sim.csv").exists()
+
+    def test_condboot_with_the_source_size_given_explicitly(self, tmp_path):
+        source_path = tmp_path / "source.csv"
+        store_dataset(synth_study(5, n=40), str(source_path))
+        out_path = tmp_path / "sim.csv"
+        main(["simulate", "--engine", "condboot", "--input", str(source_path), "--n-per-arm", "40", "--out", str(out_path)])
+        assert [len(a) for a in load_dataset(str(out_path)).arms] == [40, 40]
 
     def test_simulate_with_explicit_size(self, tmp_path):
         source_path = tmp_path / "source.csv"

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from survbench import core
+from survbench import core, harness, reconstruct
 from survbench.core import (
     ArmData,
     KmCurve,
@@ -63,6 +63,11 @@ from survbench.harness import BenchmarkConfig, StudyRecord, run_benchmark
 from survbench.reconstruct import DigitizedArm, InfeasibleCurveError, load_digitized_arm, reconstruct_arm
 
 from helpers import synth_study
+
+survbench_readers = {
+    "load_dataset": core, "load_metadata": core, "load_config": harness,
+    "load_digitized_arm": reconstruct, "load_event_totals": reconstruct,
+}
 
 # times from a coarse grid that includes 0 and -0.0 (heavy ties) or from a continuum
 _grid_time = st.integers(0, 12).map(lambda k: k * 0.5) | st.just(-0.0)
@@ -553,3 +558,153 @@ def test_reader_checks_once_and_agrees_with_the_two_pass_reader(texts):
 def test_digitized_arm_checks_agree_with_the_two_pass_checks(coordinates, risk_table, total):
     expected = _loaded(oracle.DigitizedArm, "A", coordinates, risk_table, total)
     assert _loaded(DigitizedArm, "A", coordinates, risk_table, total) == expected
+
+
+# ---------------------------------------------------------------------------
+# the readers against their copies from before the input rules moved into
+# core: each input is one reader's file(s), drawn mostly well formed with a
+# few bad values, and `newly` says whether the draw breaks a rule that only
+# the shared rules enforce (a JSON type, a count bound, a medians label)
+
+_json_bad = st.sampled_from((None, True, False, "x", "0.5", "3", [5], {"a": 1}, 2.5, 2.0, -1, 0, 10**20, 2**64))
+
+
+def _json_mismatch(value, kinds) -> bool:
+    return type(value) not in kinds
+
+
+@st.composite
+def dataset_files(draw):
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(("A", "B", "A", "B", "C", "")), _time_text | _odd_field,
+                  st.sampled_from(("0", "1", "0", "1", "2", " 1", "x"))).map(",".join) | _odd_line,
+        max_size=8,
+    ))
+    header = draw(st.sampled_from(("arm,time,status",) * 6 + ("\ufeffarm,time,status", "arm,time", "")))
+    return "load_dataset", {"study.csv": "\n".join([header] + rows)}, (), False
+
+
+@st.composite
+def digitized_files(draw):
+    label, coords, risk, total = draw(digitized_csv_texts())
+    return "load_digitized_arm", {"c.csv": coords, "r.csv": risk}, (label, total), False
+
+
+@st.composite
+def event_total_files(draw):
+    totals = draw(st.dictionaries(st.sampled_from("ABa"), st.none() | st.integers(-2, 60) | _json_bad, max_size=3))
+    payload = draw(st.sampled_from((totals,) * 8 + ([1, 2], "x")))
+    newly = isinstance(payload, dict) and any(type(v) is int and v > core.MAX_COUNT for v in totals.values())
+    return "load_event_totals", {"totals.json": json.dumps(payload)}, (["A", "B"],), newly
+
+
+_METADATA = {
+    "study_id": ("s1", (str,)),
+    "reported_logrank_p": (0.5, (int, float)),
+    "reported_hazard_ratio": (0.7, (int, float, type(None))),
+    "reported_medians": ({"A": 3.0, "B": None}, (dict,)),
+    "curve_class": ("crossing", (str,)),
+}
+
+
+@st.composite
+def metadata_payloads(draw):
+    payload, newly = {}, False
+    for key, (good, kinds) in _METADATA.items():
+        choice = draw(st.sampled_from(("good",) * 5 + ("bad", "missing")))
+        if choice == "missing":
+            continue
+        payload[key] = good if choice == "good" else draw(_json_bad)
+        newly |= _json_mismatch(payload[key], kinds)
+    if isinstance(payload.get("reported_medians"), dict) and draw(st.booleans()):
+        payload["reported_medians"] = {"A": draw(_json_bad | st.just(4.0)), "B": None}
+        newly |= _json_mismatch(payload["reported_medians"]["A"], (int, float, type(None)))
+    return payload, newly
+
+
+@st.composite
+def metadata_files(draw):
+    payload, newly = draw(metadata_payloads())
+    payload = draw(st.sampled_from((payload,) * 8 + ([1], "x")))
+    return "load_metadata", {"meta.json": json.dumps(payload)}, (), newly and isinstance(payload, dict)
+
+
+_STUDY_CSV = "arm,time,status\n" + "".join(
+    f"{arm.label},{t!r},{d}\n" for arm in synth_study(3, n=30).arms for t, d in zip(arm.times().tolist(), arm.statuses().tolist())
+)
+
+
+@st.composite
+def config_files(draw):
+    meta = {**{key: good for key, (good, _) in _METADATA.items()}, "study_id": "s1"}
+    labels = draw(st.sampled_from((("A", "B"),) * 3 + (("a", "B"),)))
+    meta["reported_medians"] = dict(zip(labels, (3.0, None)))
+    entry = {"dataset": "study.csv", "metadata": "meta.json"}
+    raw = {
+        "studies": draw(st.sampled_from(([entry],) * 6 + ({"a": 1}, [1], [{"dataset": 5, "metadata": "meta.json"}]))),
+        "engines": draw(st.sampled_from((["case"],) * 6 + ("case", ["nope"], [5]))),
+    }
+    for key in ("iterations", "seed", "workers"):
+        if draw(st.booleans()):
+            raw[key] = draw(st.sampled_from((3, 3, 1)) | _json_bad)
+    for key in ("studies", "engines"):
+        if draw(st.sampled_from((False,) * 9 + (True,))):
+            del raw[key]
+    raw = draw(st.sampled_from((raw,) * 8 + ([1],)))
+    files = {"study.csv": _STUDY_CSV, "meta.json": json.dumps(meta), "bench.json": json.dumps(raw)}
+    return "load_config", files, (), labels != ("A", "B")
+
+
+def _read_outcome(load, *args):
+    """('ok', the result) or ('error', the exception)."""
+    try:
+        return "ok", load(*args)
+    except Exception as exc:  # the old readers let some TypeErrors through
+        return "error", exc
+
+
+def _named(exc) -> tuple[str, str | None]:
+    """The file(s) and the line an error message names."""
+    found = re.match(r"(.+?)(?: line (\d+)(?: column \d+)?)?: ", str(exc))
+    return (found.group(1), found.group(2)) if found else (None, None)
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.one_of(dataset_files(), digitized_files(), event_total_files(), metadata_files(), config_files()))
+def test_readers_reject_what_they_rejected_before(case):
+    name, files, args, newly = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for file_name, text in files.items():
+            with open(os.path.join(tmp, file_name), "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        paths = [os.path.join(tmp, file_name) for file_name in files]
+        if name == "load_digitized_arm":
+            paths = [args[0], *paths, args[1]]
+        elif name == "load_config":
+            paths = paths[-1:]
+        else:
+            paths = paths + list(args)
+        new = _read_outcome(getattr(survbench_readers[name], name), *paths)
+        old = _read_outcome(getattr(oracle, name), *paths)
+    if old[0] == "ok":
+        if newly:  # rejected only under the shared rules, naming the file
+            assert new[0] == "error" and isinstance(new[1], (ParseError, StructureError)), new
+            assert _named(new[1])[0].startswith(tmp)
+            return
+        assert new[0] == "ok", new[1]
+        expected, got = old[1], new[1]
+        if name == "load_config":
+            expected, got = (
+                [(c.engines, c.iterations, c.base_seed, c.workers, [(r.dataset, r.metadata) for r in c.studies])]
+                for c in (expected, got)
+            )
+        elif name == "load_digitized_arm":
+            expected, got = (repr((a.coordinates, a.risk_table, a.total_events)) for a in (expected, got))
+        assert got == expected
+    elif isinstance(old[1], ValueError):  # a ParseError or StructureError (or a ValueError) naming the file
+        assert new[0] == "error" and type(new[1]) is type(old[1]), new
+        old_file, old_line = _named(old[1])
+        assert _named(new[1]) == (old_file, old_line) or (old_line is None and _named(new[1])[0] == old_file)
+    else:  # a raw TypeError or OverflowError: now a StructureError naming the file
+        assert new[0] == "error" and isinstance(new[1], StructureError), new
+        assert _named(new[1])[0].startswith(tmp)

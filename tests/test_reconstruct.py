@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from survbench.core import ParseError, StructureError, km_estimate, median_survival
+from survbench.core import MAX_COUNT, ParseError, StructureError, km_estimate, median_survival
 from survbench.evaluate import logrank_test, tie_ratio
 from survbench.reconstruct import (
     DigitizedArm,
@@ -64,7 +64,9 @@ class TestDigitizedArmValidation:
         with pytest.raises(ValueError, match="bad coordinate survival nan at time 1.0"):
             DigitizedArm("A", [(0.0, 1.0), (1.0, float("nan")), (2.0, 0.5)], [(0.0, 10)])
 
-    @pytest.mark.parametrize("count", [float("inf"), float("nan")])
+    @pytest.mark.parametrize(
+        "count", [float("inf"), float("nan"), pytest.param(10**400, id="10**400"), MAX_COUNT + 1, np.uint64(2**63)]
+    )
     def test_non_finite_risk_count_rejected(self, count):
         with pytest.raises(ValueError, match="n_at_risk must be a positive integer"):
             DigitizedArm("A", [(0.0, 1.0)], [(0.0, 10), (1.0, count)])
@@ -73,6 +75,10 @@ class TestDigitizedArmValidation:
     def test_bool_risk_count_rejected(self, count):
         with pytest.raises(ValueError, match="n_at_risk must be a positive integer"):
             DigitizedArm("A", [(0.0, 1.0), (1.0, 0.5)], [(0.0, count)])
+
+
+    def test_count_at_the_limit_accepted(self):
+        assert DigitizedArm("A", [(0.0, 1.0)], [(0.0, MAX_COUNT)]).risk_table == [(0.0, MAX_COUNT)]
 
 
 class TestExactRoundTrip:
@@ -312,6 +318,8 @@ class TestCsvLoading:
             ("nan,0.5", "2,4", "c.csv"),
             ("-inf,0.5", "2,4", "c.csv"),
             ("1.0,0.5", "nan,4", "r.csv"),
+            pytest.param("1.0,0.5", "1,1" + "0" * 400, "r.csv", id="too-large-for-a-float"),
+            ("1.0,0.5", f"1,{MAX_COUNT + 1}", "r.csv"),
         ],
     )
     def test_non_finite_value_names_the_file_and_line(self, tmp_path, coords_row, risk_row, bad_file):
