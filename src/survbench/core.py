@@ -448,12 +448,17 @@ def load_dataset(path: str) -> StudyDataset:
 
 
 def store_dataset(dataset: StudyDataset, path: str) -> None:
+    """Write a study in one write, as csv.writer writes its rows; each time is
+    its float's repr, the text of its element in the repr of the column's list."""
+    lines = [",".join(DATASET_HEADER)]
+    for arm in dataset.arms:
+        label = io.StringIO()
+        csv.writer(label).writerow((arm.label,))  # the label as csv.writer quotes it, then "\r\n"
+        prefix, ends = label.getvalue()[:-2] + ",", (",0", ",1")
+        times = repr(arm.times().tolist())[1:-1].split(", ")
+        lines += [prefix + t + ends[s] for t, s in zip(times, arm.statuses().tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DATASET_HEADER)
-        for arm in dataset.arms:
-            times = map(repr, arm.times().tolist())
-            writer.writerows(zip([arm.label] * len(arm), times, arm.statuses().tolist()))
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 # the metadata file's keys, in the order they are written, and their JSON types

@@ -11,7 +11,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 from scipy.special import (
     digamma,
     gammainc,
@@ -161,6 +160,7 @@ def _mixture_cdf(x, wshape, wscale, nmean, nsd):
 
 
 def _mixture_quantile_scalar(p: float, params: tuple[float, ...]) -> float:
+    from scipy import optimize  # imported where used: it is large, and only fits and mixture quantiles need it
     wshape, wscale, nmean, nsd = params
     lo = min(nmean + nsd * ndtri(p), 0.0) - 1.0
     hi = max(nmean + nsd * ndtri(p), wscale * (-math.log1p(-p)) ** (1.0 / wshape)) + 1.0
@@ -223,6 +223,7 @@ def _gompertz_start(x: np.ndarray) -> tuple[float, float]:
     if m <= 0.0 or q <= m or q / m >= ratio:
         a = 1e-4 / max(float(np.mean(x)), 1e-12)
     else:
+        from scipy import optimize  # see _mixture_quantile_scalar
 
         def gap(a_try: float) -> float:
             return math.expm1(a_try * q) / math.expm1(a_try * m) - ratio
@@ -544,6 +545,7 @@ def _loglik(family_id: str, params: tuple[float, ...], x: np.ndarray) -> float:
 def _fit_nelder_mead(
     family_id: str, x: np.ndarray, start: tuple[float, ...]
 ) -> tuple[tuple[float, ...], bool]:
+    from scipy import optimize  # see _mixture_quantile_scalar
     spec = _FAMILIES[family_id]
     positive, logpdf = spec.positive, spec.logpdf
 

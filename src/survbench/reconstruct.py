@@ -85,7 +85,8 @@ class DigitizedArm:
             raise ValueError(f"arm {self.label!r}: no curve coordinates")
         if not risk_times:
             raise ValueError(f"arm {self.label!r}: empty risk table")
-        if not times_ok(times):
+        # a reader's times are finite already: of the time rule only >= 0 is left
+        if not (min(times) >= 0.0 if rows_checked else times_ok(times)):
             raise ValueError(f"bad coordinate time {next(t for t in times if not times_ok(t))}")
         self.coordinates = _monotonize(times, survivals)
         self.risk_table = list(zip(risk_times, counts))
@@ -188,118 +189,104 @@ class ReconstructionReport:
             fh.write("\n")
 
 
-def _reconcile(clicks, t_start, t_end, n_start, surv_start, count, target, tail=False):
-    """Walk the interval's clicks once per censor count until the residual is zero.
-
-    A pass spreads the censors evenly over the interval and reads each
-    click's drop in survival as events among those still at risk. Inside
-    the risk table the residual is the end-of-interval at-risk count minus
-    the published one (`target`); past its last row (`tail`) it is the
-    interval's events minus what the published total leaves (`target`, None
-    if no total was published). The next count adds the residual; a count
-    tried before ends the search. When no count closes the gap (the
-    digitized drops alone already overshoot it), the closest pass and its
-    residual are returned: the conflict is digitization noise, not an
-    impossible input. Returns that pass's event times and counts, censor
-    times, at-risk count and survival, its residual and the number of passes.
-    """
-    best = seen = None
-    passes = 0
-    while passes < ITERATION_CAP:
-        passes += 1
-        # walk the clicks once, with `placed` censors at t_start + (k + 1) * gap
-        placed = count if count > 0 else 0  # count < 0 only when n_start is
-        gap = (t_end - t_start) / (placed + 1)
-        times, counts, n, surv, k = [], [], n_start, surv_start, 0
-        for t, s in clicks:
-            while k < placed and t_start + (k + 1) * gap < t:
-                n -= 1
-                k += 1
-            if n <= 0 or surv <= 0.0:
-                break
-            if s < surv:
-                d = round(n * (1.0 - s / surv))
-                if d > n:
-                    d = n
-                if d > 0:
-                    surv *= 1.0 - d / n
-                    n -= d
-                    times.append(t)
-                    counts.append(d)
-        n -= placed - k
-        if not tail:
-            diff = n - target
-        else:  # the events, as every censor and every event leaves the risk set once
-            diff = 0 if target is None else n_start - placed - n - target
-        if best is None or abs(diff) < abs(best[0]):
-            best = diff, placed, gap, times, counts, n, surv
-        if diff == 0:
-            break
-        next_count = min(max(count + diff, 0), n_start)
-        if seen is None:
-            seen = set()
-        seen.add(count)
-        if next_count in seen:
-            break
-        count = next_count
-    diff, placed, gap, times, counts, n, surv = best
-    censors = [t_start + (g + 1) * gap for g in range(placed)] if placed else []
-    return times, counts, censors, n, surv, diff, passes
-
-
 def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
     """Rebuild one arm's observations from its digitized inputs.
+
+    One walk goes over the risk intervals and then the tail past the last
+    row. In each, a pass spreads the censors evenly over the interval and
+    reads each click's drop in survival as events among those still at
+    risk. Inside the risk table the residual is the end-of-interval at-risk
+    count minus the published one; in the tail it is the interval's events
+    minus what the published total leaves (none if no total was published).
+    The next count adds the residual; a count tried before ends the search.
+    When no count closes the gap (the digitized drops alone already
+    overshoot it), the closest pass and its residual are kept: the conflict
+    is digitization noise, not an impossible input.
 
     The click times are strictly increasing (``_monotonize``), so each
     interval's clicks, and the survival just before its end, are found by
     bisection rather than by scanning every click.
     """
-    coords = arm.coordinates
-    click_times = [t for t, _ in coords]
-    risk = arm.risk_table
+    click_times, survs = _columns(arm.coordinates)
+    risk_times, published = _columns(arm.risk_table)
+    t_last = risk_times[-1]
+    t_end_time = max(click_times[-1], t_last)
     event_times, event_counts, censor_times, misses = [], [], [], []
-    n_cur = risk[0][1]
+    n = published[0]
     surv = 1.0
     iterations_total = 0
-    lo = bisect_left(click_times, risk[0][0])  # first click at or after t_start
+    lo = bisect_left(click_times, risk_times[0])  # first click at or after t_start
+    last = len(risk_times) - 1
 
-    for (t_start, published_start), (t_end, published_end) in zip(risk, islice(risk, 1, None)):
-        if published_end > published_start:
-            raise InfeasibleCurveError(
-                f"interval [{t_start}, {t_end}): published at-risk rises from "
-                f"{published_start} to {published_end}"
-            )
-        hi = bisect_left(click_times, t_end, lo)  # first click at or after t_end
-        # start from the censor count the published survival implies
-        surv_before_end = coords[hi - 1][1] if hi else 1.0
-        implied = round(n_cur * surv_before_end / surv) if surv > 0.0 else 0
-        start_count = min(max(implied - published_end, 0), n_cur)
-        times, counts, censors, n_cur, surv, diff, used = _reconcile(
-            coords[lo:hi], t_start, t_end, n_cur, surv, start_count, published_end
-        )
-        if diff:
-            misses.append((t_start, t_end, "risk row", diff))
+    for j, t_start in enumerate(risk_times):
+        tail = j == last
+        if not tail:
+            t_end, target = risk_times[j + 1], published[j + 1]
+            if target > published[j]:
+                raise InfeasibleCurveError(
+                    f"interval [{t_start}, {t_end}): published at-risk rises from {published[j]} to {target}"
+                )
+            hi = bisect_left(click_times, t_end, lo)  # first click at or after t_end
+            # start from the censor count the published survival implies
+            implied = round(n * (survs[hi - 1] if hi else 1.0) / surv) if surv > 0.0 else 0
+            count = implied - target if implied > target else 0
+            if count > n:
+                count = n
+        else:  # past the risk table, censoring is tuned against the event total, if one was published
+            t_end, hi, count = t_end_time, len(click_times), 0
+            target = None if arm.total_events is None else max(arm.total_events - sum(event_counts), 0)
+        n_start, surv_start, mark = n, surv, len(event_times)
+        best = seen = None
+        passes = 0
+        while True:
+            passes += 1
+            # walk the clicks once, with `placed` censors at t_start + (k + 1) * gap
+            placed = count if count > 0 else 0  # count < 0 only when n_start is
+            gap = (t_end - t_start) / (placed + 1)
+            n, surv, k = n_start, surv_start, 0
+            for i in range(lo, hi):
+                t = click_times[i]
+                while k < placed and t_start + (k + 1) * gap < t:
+                    n -= 1
+                    k += 1
+                if n <= 0 or surv <= 0.0:
+                    break
+                s = survs[i]
+                if s < surv:
+                    d = round(n * (1.0 - s / surv))
+                    if d > n:
+                        d = n
+                    if d > 0:
+                        surv *= 1.0 - d / n
+                        n -= d
+                        event_times.append(t)
+                        event_counts.append(d)
+            n -= placed - k
+            if not tail:
+                diff = n - target
+            else:  # the events, as every censor and every event leaves the risk set once
+                diff = 0 if target is None else n_start - placed - n - target
+            if diff == 0:
+                break
+            if best is None or abs(diff) < abs(best[0]):  # the closest pass yet, with its events
+                best = diff, placed, n, surv, event_times[mark:], event_counts[mark:]
+            next_count = min(max(count + diff, 0), n_start)
+            if seen is None:
+                seen = set()
+            seen.add(count)
+            if next_count in seen or passes == ITERATION_CAP:
+                diff, placed, n, surv, event_times[mark:], event_counts[mark:] = best
+                misses.append((t_start, t_end, "event total" if tail else "risk row", diff))
+                break
+            count = next_count
+            del event_times[mark:], event_counts[mark:]  # the next pass appends the interval's events anew
+        iterations_total += passes
+        if placed:
+            gap = (t_end - t_start) / (placed + 1)
+            censor_times += [t_start + (g + 1) * gap for g in range(placed)]
         lo = hi
-        iterations_total += used
-        event_times += times
-        event_counts += counts
-        censor_times += censors
-
-    # past the risk table, censoring is tuned against the event total, if one was published
-    t_last = risk[-1][0]
-    t_end_time = max(click_times[-1], t_last)
-    target_tail = None if arm.total_events is None else max(arm.total_events - sum(event_counts), 0)
-    times, counts, censors, n_end, _, diff, used = _reconcile(
-        coords[lo:], t_last, t_end_time, n_cur, surv, 0, target_tail, tail=True
-    )
-    if diff:
-        misses.append((t_last, t_end_time, "event total", diff))
-    iterations_total += used
-    event_times += times
-    event_counts += counts
-    censor_times += censors
     # everyone still at risk leaves the study at the end of follow-up
-    censor_times.extend([t_end_time] * n_end)
+    censor_times.extend([t_end_time] * n)
 
     times = np.concatenate((np.repeat(np.array(event_times, float), event_counts), censor_times))
     status = np.repeat((1, 0), (sum(event_counts), len(censor_times)))
@@ -308,21 +295,22 @@ def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
     rebuilt = arm_from_arrays(arm.label, times, status[order])
 
     achieved_events = int(sum(event_counts))
-    at_risk = times.size - np.searchsorted(times, [t for t, _ in risk], side="left")
-    risk_rows = [(t, n, got) for (t, n), got in zip(risk, at_risk.tolist())]
+    achieved = (times.size - np.searchsorted(times, risk_times, side="left")).tolist()
+    risk_rows = list(zip(risk_times, published, achieved))
     # a constraint the output misses, unless its interval's pass recorded it
-    missed = {(end, constraint) for _, end, constraint, _ in misses}
-    for j, (t, published, got) in enumerate(risk_rows):
-        if got != published and (t, "risk row") not in missed:
-            misses.append((risk[j - 1][0] if j else t, t, "risk row", got - published))
-    if arm.total_events not in (None, achieved_events) and (t_end_time, "event total") not in missed:
+    if achieved != list(published):
+        missed = {end for _, end, constraint, _ in misses if constraint == "risk row"}
+        for j, (t, want, got) in enumerate(risk_rows):
+            if got != want and t not in missed:
+                misses.append((risk_times[j - 1] if j else t, t, "risk row", got - want))
+    if arm.total_events not in (None, achieved_events) and not diff:  # the tail's pass recorded no miss
         misses.append((t_last, t_end_time, "event total", achieved_events - arm.total_events))
     curve = km_estimate(rebuilt)
     # the curve read at each click, as KmCurve.survival_at reads it
     read = np.concatenate(([1.0], curve.survival))[
         np.searchsorted(curve.time, click_times, side="right")
     ]
-    deviation = np.max(np.abs(read - [s for _, s in coords]))
+    deviation = np.max(np.abs(read - survs))
     report = ArmReport(
         label=arm.label,
         n_observations=len(rebuilt),

@@ -6,6 +6,9 @@ package must reproduce it independently.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -394,3 +397,12 @@ def test_pinned_draws_and_fit(fam_id, first_draws, fitted):
 
 def test_pinned_table_covers_every_family_in_canonical_order():
     assert tuple(fam_id for fam_id, *_ in PINNED) == CANONICAL_FAMILIES
+
+
+def test_importing_the_package_leaves_out_scipy_optimize():
+    # reading, reconstructing and resampling never fit a family; only fitting loads the optimizer
+    code = "import sys, survbench; print('scipy.optimize' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -334,8 +334,28 @@ def test_derived_columns_are_not_checked_again(tmp_path, monkeypatch):
     conditional_bootstrap(build_model("condboot", arm), len(arm), RandomStream(0, 2))
 
 
+# labels csv.writer quotes (a delimiter, a quote, a line break), and ones it
+# writes as they are; times whose repr has an exponent, and -0.0
+_store_label = st.sampled_from(("A", "B", "a,b", '"x"', "x\ny", "x\ry", " lead", "é")) | st.text(min_size=1)
+_store_time = st.sampled_from((-0.0, 1e-05, 5e-324, 2.5e-300, 1e16, 1.7976931348623157e308))
+
+
+@st.composite
+def stored_studies(draw):
+    labels = draw(st.lists(_store_label, min_size=2, max_size=2, unique=True))
+    arms = []
+    for label in labels:
+        times, status = draw(arm_columns())
+        odd = draw(st.lists(_store_time, max_size=times.size))
+        times[: len(odd)] = odd
+        arms.append(arm_from_arrays(label, times, status))
+    return StudyDataset(tuple(arms))
+
+
 @settings(deadline=None)
-@given(studies())
+@given(stored_studies())
+@example(StudyDataset((arm_from_arrays("a,b", np.array([-0.0, 1e-05]), np.array([1, 0])),
+                       arm_from_arrays('"x"\ny', np.array([1e16]), np.array([0])))))
 def test_stored_bytes_match_the_loop(tmp_path_factory, dataset):
     folder = tmp_path_factory.mktemp("store")
     store_dataset(dataset, str(folder / "new.csv"))

@@ -1,11 +1,13 @@
 """Curve-to-data reconstruction: round trips, calibration, infeasible inputs."""
 
+import hashlib
+import json
 import re
 
 import numpy as np
 import pytest
 
-from survbench.core import MAX_COUNT, ParseError, StructureError, km_estimate, median_survival
+from survbench.core import MAX_COUNT, ParseError, StructureError, km_estimate, median_survival, store_dataset
 from survbench.evaluate import logrank_test, tie_ratio
 from survbench.reconstruct import (
     DigitizedArm,
@@ -248,22 +250,48 @@ class TestMisses:
             {"interval": [0.0, 2.0], "constraint": "risk row", "residual": -5}
         ]
 
+    def test_misses_are_listed_in_walk_order(self):
+        arm = DigitizedArm("A", [(0.0, 1.0), (1.0, 0.5), (3.0, 0.0)], [(0.0, 10), (2.0, 8), (4.0, 3)], 20)
+        _, report = reconstruct_arm(arm)
+        assert report.misses == [
+            (0.0, 2.0, "risk row", -3), (2.0, 4.0, "risk row", -3), (4.0, 4.0, "event total", -10)
+        ]
+
     def test_every_arm_not_converged_names_a_miss_on_the_corpus(self):
         not_converged = 0
-        for seed in range(20):
-            dataset = corpus_study(seed)
-            top = max(float(np.max(arm.times())) for arm in dataset.arms)
-            coarse = [digitize_exact(arm, list(np.arange(0.0, top + 6.0, 6.0)), 0.01) for arm in dataset.arms]
-            for arms in (
-                digitize_study(dataset, pooled_risk=True),
-                coarse,
-                [DigitizedArm(a.label, a.coordinates, a.risk_table) for a in coarse],
-            ):
-                _, report = reconstruct_study(tuple(arms), str(seed))
-                for arm_report in report.arms.values():
-                    assert arm_report.converged == (not arm_report.misses)
-                    not_converged += not arm_report.converged
+        for seed, arms in corpus_digitizations():
+            _, report = reconstruct_study(arms, str(seed))
+            for arm_report in report.arms.values():
+                assert arm_report.converged == (not arm_report.misses)
+                not_converged += not arm_report.converged
         assert not_converged > 0
+
+
+def corpus_digitizations():
+    """The 20 corpus studies digitized fine, coarse, and coarse without event totals."""
+    for seed in range(20):
+        dataset = corpus_study(seed)
+        top = max(float(np.max(arm.times())) for arm in dataset.arms)
+        coarse = [digitize_exact(arm, list(np.arange(0.0, top + 6.0, 6.0)), 0.01) for arm in dataset.arms]
+        yield seed, tuple(digitize_study(dataset, pooled_risk=True))
+        yield seed, tuple(coarse)
+        yield seed, tuple(DigitizedArm(a.label, a.coordinates, a.risk_table) for a in coarse)
+
+
+# SHA-256 of every dataset and report (misses and iterations included) that
+# corpus_digitizations() reconstructs to, as commit 3928615 wrote them. A change
+# meant to alter reconstruction re-derives it and says which arms moved.
+CORPUS_OUTPUT_DIGEST = "b0d2052a2f91cedd43ba65cf8bd2bccaf8fcd720cefbf74c51a00cad63ffd974"
+
+
+def test_corpus_outputs_match_the_pinned_digest(tmp_path):
+    digest = hashlib.sha256()
+    for seed, arms in corpus_digitizations():
+        rebuilt, report = reconstruct_study(arms, str(seed))
+        store_dataset(rebuilt, str(tmp_path / "study.csv"))
+        digest.update((tmp_path / "study.csv").read_bytes())
+        digest.update(json.dumps(report.to_json()).encode())
+    assert digest.hexdigest() == CORPUS_OUTPUT_DIGEST
 
 
 class TestStudyLevel:
