@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -89,23 +90,36 @@ class BenchmarkConfig:
 
 @dataclass
 class MetricDiffs:
-    """Per (study, engine, metric): (iteration, value) pairs of the defined values.
+    """Per (study, engine): one float64 row per iteration, columns in ALL_METRICS order.
 
     Diff metrics hold simulated-minus-reference values; raw metrics
     (tie_ratio, logrank_statistic) hold the simulated values themselves.
-    An iteration whose value is undefined leaves no pair.
+    NaN marks an undefined value. A skipped pair has no table.
     """
 
     iterations: int
-    values: dict[tuple[str, str, str], list[tuple[int, float]]] = field(default_factory=dict)
+    table: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
+
+    def _defined(self, key: tuple[str, str], metric: str) -> tuple[list[int], list[float]]:
+        """Iterations and values of one metric's defined entries, as Python numbers."""
+        column = self.table[key][:, ALL_METRICS.index(metric)]
+        kept = np.flatnonzero(~np.isnan(column))
+        return kept.tolist(), column[kept].tolist()
+
+    @property
+    def values(self) -> dict[tuple[str, str, str], list[tuple[int, float]]]:
+        """Per (study, engine, metric): (iteration, value) pairs of the defined values."""
+        return {
+            (*key, metric): list(zip(*self._defined(key, metric))) for key in self.table for metric in ALL_METRICS
+        }
 
     @property
     def undefined(self) -> dict[tuple[str, str, str], int]:
-        """Per key, the number of iterations whose value is undefined."""
+        """Per (study, engine, metric), the number of iterations whose value is undefined."""
         return {key: self.iterations - len(pairs) for key, pairs in self.values.items()}
 
     def series(self, study: str, engine: str, metric: str) -> list[float]:
-        return [v for _, v in self.values.get((study, engine, metric), [])]
+        return self._defined((study, engine), metric)[1] if (study, engine) in self.table else []
 
 
 @dataclass
@@ -124,28 +138,25 @@ class BenchmarkResult:
     output_files: list[str] = field(default_factory=list)
 
 
-def _iteration_values(result: EvaluationResult, record: StudyRecord) -> dict[str, float | None]:
-    """One replicate's stored value per metric, None where it is undefined.
+def _iteration_values(result: EvaluationResult, record: StudyRecord) -> list[float]:
+    """One replicate's row in ALL_METRICS order, NaN where a value is undefined.
 
     Diff metrics are simulated minus the study's reference; raw metrics
-    have no reference and are the simulated values.
+    have no reference, and subtracting 0.0 keeps their simulated values
+    bit for bit (-0.0 included).
     """
     labels = record.dataset.labels
     metadata = record.metadata
-    simulated_and_reference = {
-        "logrank_p": (result.logrank_p, metadata.reported_logrank_p),
-        "hazard_ratio": (result.hazard_ratio, metadata.reported_hazard_ratio),
-        "median_arm1": (result.medians[labels[0]], metadata.reported_medians.get(labels[0])),
-        "median_arm2": (result.medians[labels[1]], metadata.reported_medians.get(labels[1])),
-        "rmstd": (result.rmstd, record.reference.rmstd),
-    }
-    values = {
-        metric: None if sim is None or ref is None else sim - ref
-        for metric, (sim, ref) in simulated_and_reference.items()
-    }
-    values["tie_ratio"] = result.tie_ratio
-    values["logrank_statistic"] = result.logrank_statistic
-    return values
+    simulated_and_reference = (
+        (result.logrank_p, metadata.reported_logrank_p),
+        (result.hazard_ratio, metadata.reported_hazard_ratio),
+        (result.medians[labels[0]], metadata.reported_medians.get(labels[0])),
+        (result.medians[labels[1]], metadata.reported_medians.get(labels[1])),
+        (result.rmstd, record.reference.rmstd),
+        (result.tie_ratio, 0.0),
+        (result.logrank_statistic, 0.0),
+    )
+    return [math.nan if sim is None or ref is None else sim - ref for sim, ref in simulated_and_reference]
 
 
 def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
@@ -153,9 +164,9 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
 
     Iteration i consumes only RandomStream(base_seed, i), so the metric
     output is identical no matter how many workers split the iterations.
-    Each iteration's rows are folded into the result as they arrive, in
-    iteration order. Only the simulate calls are timed, and the first
-    iteration's time is dropped as warm-up.
+    Iteration i's values become row i of each pair's table as they arrive.
+    Only the simulate calls are timed, and the first iteration's time is
+    dropped as warm-up.
     """
     started = time.perf_counter()
     skipped: list[dict] = []
@@ -170,8 +181,8 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
                 continue
             models[(sid, engine)] = (record, pair)  # type: ignore[assignment]
 
-    def one_iteration(i: int) -> list[tuple[tuple[str, str], dict[str, float | None], float]]:
-        """(pair, stored values, simulate seconds) for every modelled pair."""
+    def one_iteration(i: int) -> list[tuple[tuple[str, str], list[float], float]]:
+        """(pair, row of values, simulate seconds) for every modelled pair."""
         stream = RandomStream(config.base_seed, i)
         rows = []
         for key, (record, pair) in models.items():
@@ -184,23 +195,16 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
             rows.append((key, _iteration_values(result, record), elapsed))
         return rows
 
-    diffs = MetricDiffs(config.iterations)
-    runtimes = RuntimeRecord()
-    for sid, engine in models:
-        runtimes.seconds[(sid, engine)] = []
-        for metric in ALL_METRICS:
-            diffs.values[(sid, engine, metric)] = []
-
+    shape = (config.iterations, len(ALL_METRICS))
+    diffs = MetricDiffs(config.iterations, {key: np.empty(shape) for key in models})
+    runtimes = RuntimeRecord({key: [] for key in models})
     with ThreadPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
         results = (map if pool is None else pool.map)(one_iteration, range(config.iterations))
         for i, rows in enumerate(results):
-            for (sid, engine), values, elapsed in rows:
+            for key, values, elapsed in rows:
+                diffs.table[key][i] = values
                 if i > 0:
-                    runtimes.seconds[(sid, engine)].append(elapsed)
-                for metric in ALL_METRICS:
-                    value = values[metric]
-                    if value is not None:
-                        diffs.values[(sid, engine, metric)].append((i, value))
+                    runtimes.seconds[key].append(elapsed)
 
     result = BenchmarkResult(diffs, runtimes, skipped, time.perf_counter() - started)
     if config.output_dir is not None:
@@ -224,35 +228,27 @@ def emit_reports(config: BenchmarkConfig, result: BenchmarkResult, outdir: str) 
     """Write summary/long CSVs per metric, runtimes.csv and report.json."""
     os.makedirs(outdir, exist_ok=True)
     written: list[str] = []
-    pairs = [
-        (rec.metadata.study_id, engine)
-        for rec in config.studies
-        for engine in config.engines
-        if (rec.metadata.study_id, engine) in result.runtimes.seconds
-    ]
-    undefined = result.diffs.undefined
     for metric in ALL_METRICS:
+        columns = {key: result.diffs._defined(key, metric) for key in result.diffs.table}
         summary_path = os.path.join(outdir, f"summary_{metric}.csv")
         with open(summary_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["study", "engine", *_SUMMARY_COLUMNS, "undefined"])
-            for sid, engine in pairs:
-                values = result.diffs.series(sid, engine, metric)
+            for (sid, engine), (_, values) in columns.items():
                 if values:
                     s = summarize(values)
                     stats = [repr(getattr(s, col)) for col in _SUMMARY_COLUMNS]
                 else:
                     stats = [""] * len(_SUMMARY_COLUMNS)
-                writer.writerow([sid, engine, *stats, undefined[(sid, engine, metric)]])
+                writer.writerow([sid, engine, *stats, config.iterations - len(values)])
         written.append(summary_path)
 
         long_path = os.path.join(outdir, f"long_{metric}.csv")
         with open(long_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["study", "engine", "iteration", "value"])
-            for sid, engine in pairs:
-                for i, value in result.diffs.values[(sid, engine, metric)]:
-                    writer.writerow([sid, engine, i, repr(value)])
+            for (sid, engine), (kept, values) in columns.items():
+                writer.writerows([sid, engine, i, repr(value)] for i, value in zip(kept, values))
         written.append(long_path)
 
     runtimes_path = os.path.join(outdir, "runtimes.csv")

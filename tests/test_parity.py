@@ -10,6 +10,7 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 from dataclasses import replace
 
@@ -430,6 +431,58 @@ def test_folded_benchmark_matches_the_two_phase_loop():
         assert result.diffs.undefined == undefined
         counts = {key: len(v) for key, v in result.runtimes.seconds.items()}
         assert counts == {key: len(v) for key, v in seconds.items()}
+
+
+# arm_columns' times (heavy ties, 0.0 and -0.0, all-censored and all-event
+# arms), some replaced by times within a factor of two of the largest float
+_huge_time = st.floats(0.5 * sys.float_info.max, sys.float_info.max)
+
+
+@st.composite
+def wide_studies(draw):
+    arms = []
+    for label in ("A", "B"):
+        times, status = draw(arm_columns())
+        huge = draw(st.lists(_huge_time, max_size=times.size))
+        times[: len(huge)] = huge
+        arms.append(arm_from_arrays(label, times, status))
+    return StudyDataset(tuple(arms))
+
+
+@settings(deadline=None, max_examples=300)
+@given(wide_studies(), wide_studies(), st.booleans())
+@example(  # every time the largest float, against a study with no events at all
+    StudyDataset((arm_from_arrays("A", np.full(3, sys.float_info.max), np.ones(3, dtype=np.int64)),
+                  arm_from_arrays("B", np.array([sys.float_info.max, 0.0]), np.array([1, 0])))),
+    StudyDataset((arm_from_arrays("A", np.array([0.0, -0.0]), np.array([0, 0])),
+                  arm_from_arrays("B", np.array([1.0]), np.array([0])))),
+    True,
+)
+def test_nan_marks_exactly_the_undefined_values(dataset, source, reported):
+    # the replicate table stores an undefined value as NaN, which is sound
+    # only while no defined statistic is NaN
+    result, reference = evaluate_dataset(dataset), evaluate_dataset(source)
+    simulated = (result.logrank_statistic, result.logrank_p, result.hazard_ratio,
+                 *result.medians.values(), result.tau, result.rmstd, result.tie_ratio)
+    assert not any(value is not None and math.isnan(value) for value in simulated)
+    metadata = StudyMetadata(
+        "s",
+        0.5 if reference.logrank_p is None else reference.logrank_p,
+        reference.hazard_ratio if reported else None,
+        dict(reference.medians) if reported else {"A": None, "B": None},
+        "non-crossing",
+    )
+    row = harness._iteration_values(result, StudyRecord(source, metadata, reference))
+    simulated_and_reference = (
+        (result.logrank_p, metadata.reported_logrank_p),
+        (result.hazard_ratio, metadata.reported_hazard_ratio),
+        (result.medians["A"], metadata.reported_medians["A"]),
+        (result.medians["B"], metadata.reported_medians["B"]),
+        (result.rmstd, reference.rmstd),
+        (result.tie_ratio, 0.0),
+        (result.logrank_statistic, 0.0),
+    )
+    assert [math.isnan(value) for value in row] == [None in pair for pair in simulated_and_reference]
 
 
 # digitized arms: click times shared with the risk grid (clicks on risk
