@@ -7,7 +7,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .core import RandomStream, StudyDataset, counts_ok, load_dataset, store_dataset
+from .core import RandomStream, StudyDataset, counts_ok, load_dataset, store_dataset, store_json
 from .engines import build_model, model_summary, simulate
 from .evaluate import evaluate_dataset, store_evaluation
 from .harness import load_config, run_benchmark
@@ -87,9 +87,7 @@ def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         summaries.append(model_summary(model))
     store_dataset(StudyDataset(tuple(arms)), args.out)
     if args.model_summary:
-        with open(args.model_summary, "w") as fh:
-            json.dump(summaries, fh, indent=2)
-            fh.write("\n")
+        store_json(summaries, args.model_summary)
     print(f"wrote {sum(len(a) for a in arms)} simulated observations to {args.out}")
     return 0
 

@@ -395,6 +395,13 @@ def read_json(path: str):
         raise ParseError(f"{path} line {exc.lineno} column {exc.colno}: {exc.msg}") from None
 
 
+def store_json(payload, path: str) -> None:
+    """Write `payload` as JSON indented by two spaces, with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 def read_table(path: str, header: tuple[str, ...], columns) -> list[list]:
     """The data rows of a CSV file under the header row `header`, one list per column.
 
@@ -490,7 +497,4 @@ def load_metadata(path: str) -> StudyMetadata:
 
 
 def store_metadata(meta: StudyMetadata, path: str) -> None:
-    payload = {key: getattr(meta, key) for key, _ in _METADATA_FIELDS}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    store_json({key: getattr(meta, key) for key, _ in _METADATA_FIELDS}, path)

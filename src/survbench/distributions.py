@@ -99,16 +99,6 @@ class FittedDistribution:
             "converged": self.converged,
         }
 
-    @classmethod
-    def from_json(cls, raw: dict) -> "FittedDistribution":
-        return cls(
-            family=ParametricFamily(raw["family"], tuple(raw["parameters"])),
-            log_likelihood=float(raw["log_likelihood"]),
-            cvm_statistic=float(raw["cvm_statistic"]),
-            cvm_p_value=float(raw["cvm_p_value"]),
-            converged=bool(raw["converged"]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # per-family building blocks; the registry below wires them together

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
 
-from .core import ArmData, KmCurve, StudyDataset, _run_starts, km_estimate, median_survival
+from .core import ArmData, KmCurve, StudyDataset, _run_starts, km_estimate, median_survival, store_json
 
 COX_MAX_ITERATIONS = 200
 COX_SCORE_TOL = 1e-10
@@ -60,18 +59,6 @@ class EvaluationResult:
             "rmstd": self.rmstd,
             "tie_ratio": self.tie_ratio,
         }
-
-    @classmethod
-    def from_json(cls, raw: dict) -> "EvaluationResult":
-        return cls(
-            logrank_statistic=raw["logrank_statistic"],
-            logrank_p=raw["logrank_p"],
-            hazard_ratio=raw["hazard_ratio"],
-            medians=dict(raw["medians"]),
-            tau=float(raw["tau"]),
-            rmstd=None if raw["rmstd"] is None else float(raw["rmstd"]),
-            tie_ratio=float(raw["tie_ratio"]),
-        )
 
 
 @dataclass
@@ -303,11 +290,4 @@ def evaluate_dataset(dataset: StudyDataset) -> EvaluationResult:
 
 
 def store_evaluation(result: EvaluationResult, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(result.to_json(), fh, indent=2)
-        fh.write("\n")
-
-
-def load_evaluation(path: str) -> EvaluationResult:
-    with open(path) as fh:
-        return EvaluationResult.from_json(json.load(fh))
+    store_json(result.to_json(), path)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import time
@@ -24,6 +23,7 @@ from .core import (
     load_dataset,
     load_metadata,
     read_json,
+    store_json,
 )
 from .engines import ArmModel, ModelBuildError, build_model, canonical_engine, simulate
 from .evaluate import EvaluationResult, evaluate_dataset
@@ -279,9 +279,7 @@ def emit_reports(config: BenchmarkConfig, result: BenchmarkResult, outdir: str) 
         "elapsed_seconds": result.elapsed_seconds,
         "outputs": [os.path.basename(p) for p in written],
     }
-    with open(report_path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    store_json(payload, report_path)
     written.append(report_path)
     return written
 

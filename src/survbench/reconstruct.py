@@ -9,7 +9,6 @@ the count is adjusted until the output reproduces every risk-table row.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from bisect import bisect_left
@@ -33,6 +32,7 @@ from .core import (
     km_estimate,
     read_json,
     read_table,
+    store_json,
     times_ok,
 )
 
@@ -184,9 +184,7 @@ class ReconstructionReport:
         }
 
     def store(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+        store_json(self.to_json(), path)
 
 
 def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:

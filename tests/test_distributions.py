@@ -320,8 +320,15 @@ class TestSelection:
 
 
 def test_fitted_distribution_json_round_trip():
-    fit = FittedDistribution(family("gamma"), -12.5, 0.04, 0.61, True)
-    assert FittedDistribution.from_json(fit.to_json()) == fit
+    fit = FittedDistribution(ParametricFamily("gamma", (2.0, 0.5)), -12.5, 0.04, 0.61, True)
+    assert fit.to_json() == {
+        "family": "gamma",
+        "parameters": [2.0, 0.5],
+        "log_likelihood": -12.5,
+        "cvm_statistic": 0.04,
+        "cvm_p_value": 0.61,
+        "converged": True,
+    }
 
 
 # family_id, first three draws of sample(family, 80, RandomStream(9, index)),
@@ -399,10 +406,22 @@ def test_pinned_table_covers_every_family_in_canonical_order():
     assert tuple(fam_id for fam_id, *_ in PINNED) == CANONICAL_FAMILIES
 
 
-def test_importing_the_package_leaves_out_scipy_optimize():
-    # reading, reconstructing and resampling never fit a family; only fitting loads the optimizer
-    code = "import sys, survbench; print('scipy.optimize' in sys.modules)"
+def run_with_src(code: str) -> str:
+    """The stdout of `code` run in a fresh interpreter with the checkout's src/ on its path."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_importing_the_package_leaves_out_scipy_optimize():
+    # reading, reconstructing and resampling never fit a family; only fitting loads the optimizer
+    modules = ("core", "distributions", "engines", "evaluate", "harness", "reconstruct")
+    imports = ", ".join(f"survbench.{name}" for name in modules)
+    assert run_with_src(f"import sys, {imports}; print('scipy.optimize' in sys.modules)") == "False"
+
+
+def test_reading_and_reconstructing_leave_out_scipy():
+    # the package root imports no submodule, so core and reconstruct load only what they use
+    code = "import sys, survbench.core, survbench.reconstruct; print('scipy' in sys.modules, survbench.__version__)"
+    assert run_with_src(code) == "False 0.1.0"

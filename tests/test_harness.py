@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
 import tracemalloc
 
@@ -665,18 +666,31 @@ class TestCli:
             )
         assert not (tmp_path / "o.csv").exists()
 
-    def test_reconstruct_rejects_malformed_arm_spec(self, tmp_path):
+    @pytest.mark.parametrize(
+        "coords,risk,message",
+        [
+            ("A=only_one.csv", "A=r.csv", "--coords expects exactly 2 arms, got 1"),
+            ("A,B=c.csv", "A=r.csv,B=r.csv", "--coords expects label=path[,label=path], got 'A,B=c.csv'"),
+            ("=c.csv,B=c.csv", "A=r.csv,B=r.csv", "--coords expects label=path[,label=path], got '=c.csv,B=c.csv'"),
+            ("A=,B=c.csv", "A=r.csv,B=r.csv", "--coords expects label=path[,label=path], got 'A=,B=c.csv'"),
+            ("A=c.csv,B=c.csv", "A=r.csv,C=r.csv", "--coords and --risk must name the same arm labels"),
+        ],
+        ids=["one-arm", "no-equals", "no-label", "no-path", "other-risk-labels"],
+    )
+    def test_reconstruct_rejects_malformed_arm_spec(self, tmp_path, capsys, coords, risk, message):
         with pytest.raises(SystemExit) as err:
             main(
                 [
                     "reconstruct",
-                    "--coords", "A=only_one.csv",
-                    "--risk", "A=r.csv",
+                    "--coords", coords,
+                    "--risk", risk,
                     "--out", str(tmp_path / "o.csv"),
                     "--report", str(tmp_path / "r.json"),
                 ]
             )
         assert err.value.code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_reconstruct_rejects_a_repeated_arm_label(self, tmp_path, capsys):
         (tmp_path / "c.csv").write_text("time,survival\n0.0,1.0\n1.0,0.5\n")
@@ -866,3 +880,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "skipped s1/conditional-bootstrap" in err
         assert "no events to resample" in err
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    start = text.index("```python\n", text.index("## Library use")) + len("```python\n")
+    block = text[start:text.index("```", start)]
+    store_dataset(synth_study(5, n=40), str(tmp_path / "reconstructed.csv"))
+    monkeypatch.chdir(tmp_path)
+    exec(block, {})
+    assert 0.0 <= float(capsys.readouterr().out) <= 1.0
