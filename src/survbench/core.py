@@ -95,20 +95,6 @@ def json_field(path: str, obj: dict, key: str, kind: str, what: str, default=_RE
     return json_value(path, obj[key], kind, key)
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One subject: follow-up time and event indicator (1 event, 0 censored)."""
-
-    time: float
-    status: int
-
-    def __post_init__(self) -> None:
-        if not times_ok((self.time,)):
-            raise ValueError(f"observation time must be finite and >= 0, got {self.time}")
-        if self.status not in (0, 1):
-            raise ValueError(f"status must be 0 or 1, got {self.status}")
-
-
 def observe_arrays(event_times: np.ndarray, censoring_times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """What a study records of each latent (event, censoring) pair.
 
@@ -131,34 +117,34 @@ def _column(values, dtype) -> np.ndarray:
 class ArmData:
     """All observations of one treatment arm, held as two read-only columns.
 
-    ``times()`` and ``statuses()`` return the columns themselves;
-    ``.observations`` is a lazy view, built on first access and cached.
+    ``times()`` and ``statuses()`` return the columns themselves. The
+    constructor checks its columns once and copies them.
     """
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(self, label: str, observations: tuple[Observation, ...]) -> None:
-        obs = tuple(observations)
-        times, status = [o.time for o in obs], [o.status for o in obs]
-        _check_arm_columns(label, times, status)
-        self._set_columns(label, times, status, obs)
-
-    def _set_columns(self, label: str, times, status, observations=None) -> None:
-        self.label, self._observations = label, observations
+    def __init__(self, label: str, times, status) -> None:
+        if not label:
+            raise ValueError("arm label must be non-empty")
+        times, status = np.asarray(times, dtype=float), np.asarray(status)
+        if times.size == 0:
+            raise ValueError(f"arm {label!r} has no observations")
+        if times.ndim != 1 or status.shape != times.shape:
+            raise ValueError(f"arm {label!r}: times and status must be 1-d and of equal length")
+        if not times_ok(times):
+            raise ValueError(f"arm {label!r}: observation times must be finite and >= 0")
+        if not np.all((status == 0) | (status == 1)):
+            raise ValueError(f"arm {label!r}: status must be 0 or 1")
+        self.label = label
         self._times, self._status = _column(times, float), _column(status, np.int64)
 
     @classmethod
     def _from_columns(cls, label: str, times, status) -> ArmData:
         """The unchecked constructor, for columns derived from a checked arm."""
         arm = cls.__new__(cls)
-        arm._set_columns(label, times, status)
+        arm.label = label
+        arm._times, arm._status = _column(times, float), _column(status, np.int64)
         return arm
-
-    @property
-    def observations(self) -> tuple[Observation, ...]:
-        if self._observations is None:
-            self._observations = tuple(map(Observation, self._times.tolist(), self._status.tolist()))
-        return self._observations
 
     def __len__(self) -> int:
         return self._times.size
@@ -182,24 +168,9 @@ class ArmData:
         return self._status
 
 
-def _check_arm_columns(label: str, times, status) -> None:
-    if not label:
-        raise ValueError("arm label must be non-empty")
-    times, status = np.asarray(times, dtype=float), np.asarray(status)
-    if times.size == 0:
-        raise ValueError(f"arm {label!r} has no observations")
-    if times.ndim != 1 or status.shape != times.shape:
-        raise ValueError(f"arm {label!r}: times and status must be 1-d and of equal length")
-    if not times_ok(times):
-        raise ValueError(f"arm {label!r}: observation times must be finite and >= 0")
-    if not np.all((status == 0) | (status == 1)):
-        raise ValueError(f"arm {label!r}: status must be 0 or 1")
-
-
 def arm_from_arrays(label: str, times: np.ndarray, status: np.ndarray) -> ArmData:
-    """An arm from time and status columns (copied), with no per-row objects."""
-    _check_arm_columns(label, times, status)
-    return ArmData._from_columns(label, times, status)
+    """The arm ``ArmData(label, times, status)`` builds: checked, then copied."""
+    return ArmData(label, times, status)
 
 
 @dataclass
@@ -255,43 +226,25 @@ class KmStep:
     survival: float
 
 
-_KM_COLUMNS = ("time", "at_risk", "events", "survival")
-
-
+@dataclass(eq=False)
 class KmCurve:
     """Product-limit estimate; steps occur at event times only.
 
     Implicitly starts at S(0) = 1 and extends as a constant beyond its
-    last step. Held as read-only ``time``/``at_risk``/``events``/``survival``
-    columns; ``.steps`` is a lazy, cached view of float/int :class:`KmStep`.
+    last step. Held as the read-only columns ``km_from_arrays`` builds, one
+    entry per step; ``.steps`` builds float/int :class:`KmStep` rows from
+    them on each access.
     """
 
-    def __init__(self, steps: tuple[KmStep, ...]) -> None:
-        steps = tuple(steps)
-        self._set_columns(*([getattr(st, name) for st in steps] for name in _KM_COLUMNS), steps)
-        if not np.all(np.diff(self.time) > 0.0):
-            raise ValueError("step times must be strictly increasing")
-        if not np.all((self.events >= 1) & (self.at_risk >= self.events)):
-            raise ValueError("each step needs 1 <= events <= at_risk")
-        if np.any(np.diff(self.at_risk) > 0):
-            raise ValueError("at-risk counts must be non-increasing")
-        if np.any(self.survival > np.concatenate(([1.0], self.survival[:-1])) + 1e-12):
-            raise ValueError("survival must be non-increasing")
-
-    def _set_columns(self, time, at_risk, events, survival, steps=None) -> None:
-        self.time, self.survival = _column(time, float), _column(survival, float)
-        self.at_risk, self.events = _column(at_risk, np.int64), _column(events, np.int64)
-        self._steps = steps
+    time: np.ndarray
+    at_risk: np.ndarray
+    events: np.ndarray
+    survival: np.ndarray
 
     @property
     def steps(self) -> tuple[KmStep, ...]:
-        if self._steps is None:
-            self._steps = tuple(map(KmStep, *(getattr(self, name).tolist() for name in _KM_COLUMNS)))
-        return self._steps
-
-    def survival_at(self, time: float) -> float:
-        i = int(np.searchsorted(self.time, time, side="right"))
-        return float(self.survival[i - 1]) if i else 1.0
+        columns = (self.time, self.at_risk, self.events, self.survival)
+        return tuple(map(KmStep, *(column.tolist() for column in columns)))
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -318,10 +271,7 @@ def km_from_arrays(times: np.ndarray, status: np.ndarray) -> KmCurve:
     survival = (1.0 - event_counts / at_risk).cumprod()
     for column in (event_times, at_risk, event_counts, survival):
         column.flags.writeable = False  # each is a fresh array of the column's dtype
-    curve = KmCurve.__new__(KmCurve)
-    curve.time, curve.at_risk, curve.events, curve.survival = event_times, at_risk, event_counts, survival
-    curve._steps = None
-    return curve
+    return KmCurve(event_times, at_risk, event_counts, survival)
 
 
 def km_estimate(arm: ArmData) -> KmCurve:

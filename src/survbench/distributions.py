@@ -440,13 +440,6 @@ def _scalar_or_array(values: np.ndarray, scalar_in: bool):
     return float(values.reshape(())) if scalar_in else values
 
 
-def pdf(family: ParametricFamily, x) -> np.ndarray | float:
-    arr = np.asarray(x, dtype=float)
-    _check_support(family, arr, "x")
-    out = np.exp(_logpdf(family, arr))
-    return _scalar_or_array(out, arr.ndim == 0)
-
-
 def cdf(family: ParametricFamily, x) -> np.ndarray | float:
     arr = np.asarray(x, dtype=float)
     _check_support(family, arr, "x")

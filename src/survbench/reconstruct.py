@@ -304,7 +304,7 @@ def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
     if arm.total_events not in (None, achieved_events) and not diff:  # the tail's pass recorded no miss
         misses.append((t_last, t_end_time, "event total", achieved_events - arm.total_events))
     curve = km_estimate(rebuilt)
-    # the curve read at each click, as KmCurve.survival_at reads it
+    # the curve read at each click by the right-continuous step lookup (1 before the first step)
     read = np.concatenate(([1.0], curve.survival))[
         np.searchsorted(curve.time, click_times, side="right")
     ]

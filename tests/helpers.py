@@ -1,4 +1,5 @@
-"""Shared builders for the test suite: synthetic studies and digitized inputs."""
+"""Shared builders for the test suite: arms, synthetic studies, digitized
+inputs, and the curve and density reads only tests make."""
 
 from __future__ import annotations
 
@@ -6,12 +7,38 @@ import numpy as np
 
 from survbench.core import (
     ArmData,
+    KmCurve,
     RandomStream,
     StudyDataset,
     arm_from_arrays,
     km_estimate,
 )
+from survbench.distributions import ParametricFamily, _check_support, _logpdf, _scalar_or_array
 from survbench.reconstruct import DigitizedArm
+
+
+def arm_of(pairs, label: str = "A") -> ArmData:
+    """An arm from (time, status) pairs, through the checked constructor."""
+    return ArmData(label, [t for t, _ in pairs], [s for _, s in pairs])
+
+
+def pairs_of(arm: ArmData) -> list[tuple[float, int]]:
+    """The arm's rows as (time, status) pairs of Python values, in order."""
+    return list(zip(arm.times().tolist(), arm.statuses().tolist()))
+
+
+def survival_at(curve: KmCurve, time: float) -> float:
+    """The right-continuous step lookup: the survival of the last step at
+    or before `time`, and 1 before the first step."""
+    i = int(np.searchsorted(curve.time, time, side="right"))
+    return float(curve.survival[i - 1]) if i else 1.0
+
+
+def pdf(family: ParametricFamily, x) -> np.ndarray | float:
+    """The family's density, with the support rule ``cdf`` applies."""
+    arr = np.asarray(x, dtype=float)
+    _check_support(family, arr, "x")
+    return _scalar_or_array(np.exp(_logpdf(family, arr)), arr.ndim == 0)
 
 
 def synth_arm(
@@ -119,3 +146,14 @@ def digitize_study(
         digitize_exact(dataset.arms[0], risk_times, prob_grid, with_total),
         digitize_exact(dataset.arms[1], risk_times, prob_grid, with_total),
     )
+
+
+def broken_curve_rules(curve: KmCurve) -> list[str]:
+    """The rules of a product-limit curve that `curve`'s columns break."""
+    rules = {
+        "times strictly increase": np.all(np.diff(curve.time) > 0.0),
+        "1 <= events <= at_risk": np.all((curve.events >= 1) & (curve.events <= curve.at_risk)),
+        "at_risk does not increase": np.all(np.diff(curve.at_risk) <= 0),
+        "survival does not increase": np.all(np.diff(curve.survival, prepend=1.0) <= 0.0),
+    }
+    return [rule for rule, holds in rules.items() if not holds]

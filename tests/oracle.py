@@ -47,7 +47,6 @@ from scipy.special import erfc
 from survbench.core import (
     ArmData,
     KmCurve,
-    Observation,
     ParseError,
     RandomStream,
     StructureError,
@@ -88,6 +87,8 @@ from survbench.evaluate import (
 from survbench.harness import BenchmarkConfig, StudyRecord
 from survbench.reconstruct import COORDS_HEADER, ITERATION_CAP, RISK_HEADER, ArmReport, InfeasibleCurveError
 
+from helpers import pairs_of, survival_at
+
 
 @dataclass(frozen=True)
 class LatentPair:
@@ -104,11 +105,11 @@ class LatentPair:
             raise ValueError(f"censoring_time must be > 0, got {self.censoring_time}")
 
 
-def observe(pair: LatentPair) -> Observation:
-    """The scalar rule behind ``observe_arrays``: a tie is recorded as censored."""
+def observe(pair: LatentPair) -> tuple[float, int]:
+    """The scalar rule behind ``observe_arrays``, as (time, status): a tie is recorded as censored."""
     if pair.event_time < pair.censoring_time:
-        return Observation(pair.event_time, 1)
-    return Observation(pair.censoring_time, 0)
+        return (pair.event_time, 1)
+    return (pair.censoring_time, 0)
 
 
 def km_steps(times: np.ndarray, status: np.ndarray) -> list[tuple[float, int, int, float]]:
@@ -131,9 +132,7 @@ def km_from_arrays(times: np.ndarray, status: np.ndarray) -> KmCurve:
     """The curve's columns from ``np.unique`` and a fresh sort of every time."""
     event_times, event_counts = np.unique(times[status == 1], return_counts=True)
     at_risk = times.size - np.searchsorted(np.sort(times), event_times, side="left")
-    curve = KmCurve.__new__(KmCurve)
-    curve._set_columns(event_times, at_risk, event_counts, np.cumprod(1.0 - event_counts / at_risk))
-    return curve
+    return KmCurve(event_times, at_risk, event_counts, np.cumprod(1.0 - event_counts / at_risk))
 
 
 def arm_counts(times: np.ndarray, status: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -175,8 +174,8 @@ def rmst_from_steps(steps, tau: float) -> float:
 
 
 def _arm_max_is_censored(arm: ArmData) -> bool:
-    event = [o.time for o in arm.observations if o.status == 1]
-    censored = [o.time for o in arm.observations if o.status == 0]
+    event = [t for t, s in pairs_of(arm) if s == 1]
+    censored = [t for t, s in pairs_of(arm) if s == 0]
     return bool(censored) and max(censored) >= max(event, default=-np.inf)
 
 
@@ -188,11 +187,11 @@ def rmst_tau(dataset: StudyDataset) -> float:
 def _signed_rmst_tau(dataset: StudyDataset) -> float:
     arm1, arm2 = dataset.arms
     if _arm_max_is_censored(arm1) and _arm_max_is_censored(arm2):
-        return min(max(o.time for o in arm1.observations), max(o.time for o in arm2.observations))
-    censored_times = [o.time for arm in dataset.arms for o in arm.observations if o.status == 0]
+        return min(max(t for t, _ in pairs_of(arm1)), max(t for t, _ in pairs_of(arm2)))
+    censored_times = [t for arm in dataset.arms for t, s in pairs_of(arm) if s == 0]
     if censored_times:
         return max(censored_times)
-    return max(o.time for arm in dataset.arms for o in arm.observations)
+    return max(t for arm in dataset.arms for t, _ in pairs_of(arm))
 
 
 def efron_fracs(d: np.ndarray) -> np.ndarray:
@@ -315,10 +314,10 @@ def evaluate_dataset(dataset: StudyDataset) -> EvaluationResult:
     )
 
 
-def case_resample(source: ArmData, n_out: int, gen: np.random.Generator) -> tuple[Observation, ...]:
+def case_resample(source: ArmData, n_out: int, gen: np.random.Generator) -> list[tuple[float, int]]:
     idx = gen.integers(0, len(source), size=n_out)
-    obs = source.observations
-    return tuple(obs[i] for i in idx)
+    obs = pairs_of(source)
+    return [obs[i] for i in idx]
 
 
 def conditional_bootstrap(
@@ -399,8 +398,8 @@ def store_dataset(dataset: StudyDataset, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(("arm", "time", "status"))
         for arm in dataset.arms:
-            for obs in arm.observations:
-                writer.writerow([arm.label, repr(obs.time), obs.status])
+            for t, s in pairs_of(arm):
+                writer.writerow([arm.label, repr(t), s])
 
 
 DIFF_METRICS = ("logrank_p", "hazard_ratio", "median_arm1", "median_arm2", "rmstd")
@@ -741,7 +740,7 @@ def reconstruct_arm(arm) -> tuple[ArmData, ArmReport]:
     rows_ok = all(pub == got for _, pub, got in risk_rows)
     events_ok = arm.total_events is None or achieved_events == arm.total_events
     curve = km_from_arrays(rebuilt.times(), rebuilt.statuses())
-    deviation = max(abs(curve.survival_at(t) - s) for t, s in coords)
+    deviation = max(abs(survival_at(curve, t) - s) for t, s in coords)
     report = ArmReport(
         label=arm.label,
         n_observations=len(rebuilt),

@@ -13,14 +13,13 @@ from scipy import integrate
 
 from survbench.core import (
     ArmData,
-    Observation,
     RandomStream,
     StudyDataset,
     StudyMetadata,
     km_estimate,
     median_survival,
 )
-from survbench.distributions import ParametricFamily, cdf, pdf, quantile, sample
+from survbench.distributions import ParametricFamily, cdf, quantile, sample
 from survbench.engines import ENGINE_KINDS, build_model, kde_fit, kde_sample, simulate
 from survbench.evaluate import (
     cox_hazard_ratio,
@@ -34,7 +33,7 @@ from survbench.evaluate import (
 from survbench.harness import BenchmarkConfig, StudyRecord, run_benchmark, runtime_stats
 from survbench.reconstruct import reconstruct_study
 
-from helpers import corpus_study, digitize_exact, digitize_study, synth_study
+from helpers import arm_of, corpus_study, digitize_exact, digitize_study, pairs_of, pdf, synth_study
 
 
 def verdict(
@@ -50,12 +49,7 @@ def verdict(
 
 
 def fixture_study() -> StudyDataset:
-    return StudyDataset(
-        (
-            ArmData("A", (Observation(1.0, 1), Observation(3.0, 1))),
-            ArmData("B", (Observation(2.0, 1), Observation(4.0, 1))),
-        )
-    )
+    return StudyDataset((arm_of([(1.0, 1), (3.0, 1)], "A"), arm_of([(2.0, 1), (4.0, 1)], "B")))
 
 
 def own_reference_record(dataset: StudyDataset, study_id: str) -> StudyRecord:
@@ -94,10 +88,7 @@ def test_criterion_1_oracle_equivalence():
     if hr is None or abs(hr - want_hr) > 1e-6:
         problems.append(f"Cox HR {hr!r} not within 1e-6 of {want_hr!r}")
 
-    arm = ArmData(
-        "A",
-        (Observation(1.0, 1), Observation(2.0, 0), Observation(3.0, 1), Observation(4.0, 0)),
-    )
+    arm = arm_of([(1.0, 1), (2.0, 0), (3.0, 1), (4.0, 0)], "A")
     value = rmst(arm, 4.0)
     if abs(value - 2.875) > 1e-9:
         problems.append(f"RMST {value!r} not within 1e-9 of 2.875")
@@ -283,7 +274,7 @@ def test_criterion_7_invariant_suites():
     dataset = synth_study(40, n=80)
     transformed = StudyDataset(
         tuple(
-            ArmData(arm.label, tuple(Observation(o.time**3, o.status) for o in arm.observations))
+            ArmData(arm.label, [t**3 for t in arm.times().tolist()], arm.statuses())
             for arm in dataset.arms
         )
     )
@@ -303,13 +294,13 @@ def test_criterion_7_invariant_suites():
     max_idx = int(np.flatnonzero(t == t.max())[-1])
     model = build_model("conditional-bootstrap", arm)
     for rep in range(5):
-        out = simulate(model, 100, RandomStream(321, rep))
+        rows = pairs_of(simulate(model, 100, RandomStream(321, rep)))
         for i in np.flatnonzero(s == 0):
-            o = out.observations[int(i)]
-            if o.status == 0 and o.time != t[i]:
-                problems.append(f"rep {rep}: censored row {i} moved from {t[i]} to {o.time}")
-            if o.status == 1 and (i == max_idx or o.time >= t[i]):
-                problems.append(f"rep {rep}: censored row {i} became an event at {o.time}")
+            time_i, status_i = rows[int(i)]
+            if status_i == 0 and time_i != t[i]:
+                problems.append(f"rep {rep}: censored row {i} moved from {t[i]} to {time_i}")
+            if status_i == 1 and (i == max_idx or time_i >= t[i]):
+                problems.append(f"rep {rep}: censored row {i} became an event at {time_i}")
 
     # Cox score against a finite difference of the partial log likelihood
     study = synth_study(41, n=60)

@@ -10,8 +10,6 @@ import pytest
 from survbench.core import (
     ArmData,
     KmCurve,
-    KmStep,
-    Observation,
     ParseError,
     RandomStream,
     StructureError,
@@ -27,48 +25,37 @@ from survbench.core import (
     store_dataset,
     store_metadata,
 )
+from helpers import arm_of, broken_curve_rules, survival_at
 from oracle import LatentPair, observe
-
-
-def arm(label, pairs):
-    return ArmData(label, tuple(Observation(t, s) for t, s in pairs))
 
 
 FOUR_OBS = [(1.0, 1), (2.0, 0), (3.0, 1), (4.0, 0)]
 
 
+def curve_of(steps):
+    """A curve from (time, at_risk, events, survival) rows, which need not obey the curve rules."""
+    return KmCurve(*map(np.array, zip(*steps)))
+
+
 class TestObservation:
     def test_event_when_event_time_is_strictly_smaller(self):
-        assert observe(LatentPair(3.0, 5.0)) == Observation(3.0, 1)
+        assert observe(LatentPair(3.0, 5.0)) == (3.0, 1)
 
     def test_censored_when_censoring_time_is_smaller(self):
-        assert observe(LatentPair(5.0, 3.0)) == Observation(3.0, 0)
+        assert observe(LatentPair(5.0, 3.0)) == (3.0, 0)
 
     def test_tie_resolves_to_censored(self):
-        assert observe(LatentPair(4.0, 4.0)) == Observation(4.0, 0)
+        assert observe(LatentPair(4.0, 4.0)) == (4.0, 0)
 
     def test_infinite_censoring_yields_event(self):
-        assert observe(LatentPair(2.5, math.inf)) == Observation(2.5, 1)
+        assert observe(LatentPair(2.5, math.inf)) == (2.5, 1)
 
     def test_observe_arrays_matches_scalar_rule(self):
         ev = np.array([3.0, 5.0, 4.0, 2.5])
         cz = np.array([5.0, 3.0, 4.0, math.inf])
         times, status = observe_arrays(ev, cz)
         expected = [observe(LatentPair(e, c)) for e, c in zip(ev, cz)]
-        assert times.tolist() == [o.time for o in expected]
-        assert status.tolist() == [o.status for o in expected]
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            Observation(-1.0, 1)
-
-    def test_rejects_non_finite_time(self):
-        with pytest.raises(ValueError):
-            Observation(math.nan, 0)
-
-    def test_rejects_bad_status(self):
-        with pytest.raises(ValueError):
-            Observation(1.0, 2)
+        assert list(zip(times.tolist(), status.tolist())) == expected
 
     def test_latent_pair_rejects_nonpositive_event_time(self):
         with pytest.raises(ValueError):
@@ -81,13 +68,13 @@ class TestObservation:
 
 class TestKaplanMeier:
     def test_four_observation_fixture(self):
-        curve = km_estimate(arm("A", FOUR_OBS))
+        curve = km_estimate(arm_of(FOUR_OBS))
         assert [(s.time, s.at_risk, s.events) for s in curve.steps] == [(1.0, 4, 1), (3.0, 2, 1)]
         assert curve.steps[0].survival == pytest.approx(0.75, abs=1e-15)
         assert curve.steps[1].survival == pytest.approx(0.375, abs=1e-15)
 
     def test_steps_only_at_event_times(self):
-        curve = km_estimate(arm("A", FOUR_OBS))
+        curve = km_estimate(arm_of(FOUR_OBS))
         assert [s.time for s in curve.steps] == [1.0, 3.0]
 
     def test_tied_events_fall_in_one_step(self):
@@ -109,42 +96,45 @@ class TestKaplanMeier:
             assert st.survival == pytest.approx(np.mean(times > st.time), abs=1e-12)
 
     def test_survival_at_is_a_right_continuous_step_lookup(self):
-        curve = km_estimate(arm("A", FOUR_OBS))
-        assert curve.survival_at(0.0) == 1.0
-        assert curve.survival_at(0.999) == 1.0
-        assert curve.survival_at(1.0) == 0.75
-        assert curve.survival_at(2.9) == 0.75
-        assert curve.survival_at(3.0) == 0.375
-        assert curve.survival_at(100.0) == 0.375
+        curve = km_estimate(arm_of(FOUR_OBS))
+        assert survival_at(curve, 0.0) == 1.0
+        assert survival_at(curve, 0.999) == 1.0
+        assert survival_at(curve, 1.0) == 0.75
+        assert survival_at(curve, 2.9) == 0.75
+        assert survival_at(curve, 3.0) == 0.375
+        assert survival_at(curve, 100.0) == 0.375
 
     def test_survival_values_are_plain_floats(self):
-        curve = km_estimate(arm("A", FOUR_OBS))
+        curve = km_estimate(arm_of(FOUR_OBS))
         assert all(type(s.survival) is float for s in curve.steps)
 
+    # the rules test_derived_curve_passes_the_curve_checks holds every
+    # derived curve to; each malformed curve below breaks exactly one
+
     def test_curve_validation_rejects_rising_survival(self):
-        with pytest.raises(ValueError):
-            KmCurve((KmStep(1.0, 4, 1, 0.5), KmStep(2.0, 3, 1, 0.9)))
+        curve = curve_of(((1.0, 4, 1, 0.5), (2.0, 3, 1, 0.9)))
+        assert broken_curve_rules(curve) == ["survival does not increase"]
 
     def test_curve_validation_rejects_rising_at_risk(self):
-        with pytest.raises(ValueError):
-            KmCurve((KmStep(1.0, 4, 1, 0.75), KmStep(2.0, 5, 1, 0.5)))
+        curve = curve_of(((1.0, 4, 1, 0.75), (2.0, 5, 1, 0.5)))
+        assert broken_curve_rules(curve) == ["at_risk does not increase"]
 
     @pytest.mark.parametrize(
         "steps",
-        [
-            (KmStep(2.0, 4, 1, 0.75), KmStep(2.0, 3, 1, 0.5)),  # times not increasing
-            (KmStep(1.0, 4, 0, 1.0),),  # a step without events
-            (KmStep(1.0, 2, 3, 0.0),),  # more events than at risk
+        [  # (the steps, the one rule they break)
+            (((2.0, 4, 1, 0.75), (2.0, 3, 1, 0.5)), "times strictly increase"),
+            (((1.0, 4, 0, 1.0),), "1 <= events <= at_risk"),  # a step without events
+            (((1.0, 2, 3, 0.0),), "1 <= events <= at_risk"),  # more events than at risk
         ],
     )
     def test_curve_validation_rejects_malformed_steps(self, steps):
-        with pytest.raises(ValueError):
-            KmCurve(steps)
+        rows, rule = steps
+        assert broken_curve_rules(curve_of(rows)) == [rule]
 
 
 class TestMedianSurvival:
     def test_fixture_median(self):
-        assert median_survival(km_estimate(arm("A", FOUR_OBS))) == 3.0
+        assert median_survival(km_estimate(arm_of(FOUR_OBS))) == 3.0
 
     def test_exactly_half_counts_as_reached(self):
         curve = km_from_arrays(np.array([7.0, 9.0]), np.array([1, 1]))
@@ -183,8 +173,8 @@ class TestRandomStream:
 
 class TestDatasetCsv:
     def make_study(self):
-        a = arm("treat", [(0.1 + 0.2, 1), (2.0, 0), (math.pi, 1)])
-        b = arm("control", [(1.5, 0), (2.5, 1)])
+        a = arm_of([(0.1 + 0.2, 1), (2.0, 0), (math.pi, 1)], "treat")
+        b = arm_of([(1.5, 0), (2.5, 1)], "control")
         return StudyDataset((a, b))
 
     def test_round_trip_is_exact(self, tmp_path):
@@ -254,8 +244,8 @@ class TestDatasetCsv:
             load_dataset(str(path))
 
     def test_duplicate_labels_rejected_in_memory(self):
-        a = arm("A", [(1.0, 1)])
-        b = arm("A", [(2.0, 0)])
+        a = arm_of([(1.0, 1)])
+        b = arm_of([(2.0, 0)])
         with pytest.raises(StructureError):
             StudyDataset((a, b))
 
@@ -353,25 +343,27 @@ def test_arm_from_arrays_round_trips_times_and_statuses():
     assert built.statuses().tolist() == status.tolist()
 
 
-def test_empty_arm_is_rejected():
-    with pytest.raises(ValueError):
-        ArmData("A", ())
+BAD_COLUMNS = [
+    ("", [1.0], [1]),
+    ("X", [], []),  # an empty arm
+    ("X", [[1.0]], [[1]]),
+    ("X", [1.0, 2.0], [1]),
+    ("X", [math.nan], [1]),
+    ("X", [math.inf], [0]),
+    ("X", [-1.0], [1]),  # a negative time
+    ("X", [1.0], [2]),  # status 2
+    ("X", [1.0], [0.5]),
+    ("X", [math.nan], [0]),  # a NaN time on a censored row
+]
 
 
-@pytest.mark.parametrize(
-    "label,times,status",
-    [
-        ("", [1.0], [1]),
-        ("X", [], []),
-        ("X", [[1.0]], [[1]]),
-        ("X", [1.0, 2.0], [1]),
-        ("X", [math.nan], [1]),
-        ("X", [math.inf], [0]),
-        ("X", [-1.0], [1]),
-        ("X", [1.0], [2]),
-        ("X", [1.0], [0.5]),
-    ],
-)
+@pytest.mark.parametrize("label,times,status", BAD_COLUMNS)
 def test_arm_from_arrays_rejects_bad_columns(label, times, status):
     with pytest.raises(ValueError):
         arm_from_arrays(label, np.array(times), np.array(status))
+
+
+@pytest.mark.parametrize("label,times,status", BAD_COLUMNS)
+def test_arm_data_rejects_bad_columns(label, times, status):
+    with pytest.raises(ValueError):
+        ArmData(label, np.array(times), np.array(status))

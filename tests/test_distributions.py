@@ -27,12 +27,13 @@ from survbench.distributions import (
     cvm_test,
     fit_candidates,
     fit_mle,
-    pdf,
     quantile,
     sample,
     select_distribution,
 )
 from survbench.distributions import _cvm_cdf_asymptotic
+
+from helpers import pdf
 
 # family_id, parameters, probe x, pdf(x), cdf(x), quantile(0.9)
 ANCHORS = [

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from survbench.core import ArmData, Observation, RandomStream, StudyDataset, km_estimate
+from survbench.core import ArmData, RandomStream, StudyDataset, km_estimate
 from survbench.distributions import fit_mle
 from survbench.engines import (
     ENGINE_KINDS,
@@ -31,11 +31,7 @@ from survbench.engines import (
 )
 from survbench.evaluate import tie_ratio
 
-from helpers import synth_arm, synth_study
-
-
-def arm_of(pairs, label="A"):
-    return ArmData(label, tuple(Observation(t, s) for t, s in pairs))
+from helpers import arm_of, pairs_of, survival_at, synth_arm, synth_study
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +242,11 @@ class TestCensoringKm:
     def test_matches_survival_km_with_roles_swapped(self):
         rng = RandomStream(41, 7).generator
         arm = synth_arm("A", rng, 80, 1.2, 9.0, 2.0, 25.0)
-        flipped = ArmData("A", tuple(Observation(o.time, 1 - o.status) for o in arm.observations))
+        flipped = ArmData("A", arm.times(), 1 - arm.statuses())
         curve = km_estimate(flipped)
         ghat = censoring_km(arm)
         for t, m in zip(ghat.atom_times, np.cumsum(ghat.atom_masses)):
-            assert 1.0 - curve.survival_at(float(t)) == pytest.approx(float(m), abs=1e-12)
+            assert 1.0 - survival_at(curve, float(t)) == pytest.approx(float(m), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +356,12 @@ class TestModelSummary:
 class TestCaseResampling:
     def test_outputs_are_source_rows(self):
         arm = synth_study(9, n=50).arms[0]
-        source = set(arm.observations)
+        source = set(pairs_of(arm))
         model = build_model("case-resampling", arm)
         out = simulate(model, 50, RandomStream(5, 0))
         assert out.label == arm.label
         assert len(out) == 50
-        assert set(out.observations) <= source
+        assert set(pairs_of(out)) <= source
 
     def test_any_output_size_is_allowed(self):
         model = build_model("case-resampling", synth_study(9, n=50).arms[0])
@@ -376,7 +372,7 @@ class TestCaseResampling:
         model = build_model("case-resampling", synth_study(9, n=50).arms[0])
         a = case_resample(model, 120, RandomStream(8, 4))
         b = case_resample(model, 120, RandomStream(8, 4))
-        assert a.observations == b.observations
+        assert pairs_of(a) == pairs_of(b)
 
     def test_resampling_induces_ties(self):
         arm = synth_study(9, n=150).arms[0]
@@ -397,7 +393,7 @@ class TestConditionalBootstrap:
         model = build_model("condboot", arm_of([(1.0, 1), (4.0, 0)]))
         for i in range(25):
             out = conditional_bootstrap(model, 2, RandomStream(100, i))
-            assert [(o.time, o.status) for o in out.observations] == [(1.0, 1), (4.0, 0)]
+            assert pairs_of(out) == [(1.0, 1), (4.0, 0)]
 
     def test_output_preserves_input_order_for_censored_rows(self):
         arm = arm_of([(5.0, 1), (2.0, 0), (7.0, 1), (3.0, 0), (9.0, 0)])
@@ -407,14 +403,15 @@ class TestConditionalBootstrap:
             out = conditional_bootstrap(model, 5, RandomStream(200, i))
             assert len(out) == 5
             # largest observation is censored: it must reappear verbatim
-            assert (out.observations[4].time, out.observations[4].status) == (9.0, 0)
+            rows = pairs_of(out)
+            assert rows[4] == (9.0, 0)
             # other censored rows keep their time or convert to an earlier event
             for idx in (1, 3):
-                o = out.observations[idx]
-                if o.status == 0:
-                    assert o.time == arm.observations[idx].time
+                time, status = rows[idx]
+                if status == 0:
+                    assert time == arm.times()[idx]
                 else:
-                    assert o.time in pool and o.time < arm.observations[idx].time
+                    assert time in pool and time < arm.times()[idx]
 
     def test_event_times_come_from_source_event_pool(self):
         rng = RandomStream(42, 0).generator
@@ -433,13 +430,13 @@ class TestConditionalBootstrap:
         t = arm.times()
         s = arm.statuses()
         max_idx = int(np.flatnonzero(t == t.max())[-1])
-        out = simulate(model, 60, RandomStream(78, 0))
+        rows = pairs_of(simulate(model, 60, RandomStream(78, 0)))
         for i in np.flatnonzero(s == 0):
-            o = out.observations[int(i)]
-            if i == max_idx or o.status == 0:
-                assert o.time == t[i] and o.status == 0
+            time, status = rows[int(i)]
+            if i == max_idx or status == 0:
+                assert time == t[i] and status == 0
             else:
-                assert o.status == 1 and o.time < t[i]
+                assert status == 1 and time < t[i]
 
     def test_largest_event_row_outcomes(self):
         # the largest observation is an event; its latent censoring partner
@@ -451,9 +448,9 @@ class TestConditionalBootstrap:
         seen = set()
         for i in range(25):
             out = conditional_bootstrap(model, 3, RandomStream(300, i))
-            o = out.observations[2]
-            assert (o.time, o.status) in {(2.0, 1), (6.0, 0)}
-            seen.add((o.time, o.status))
+            row = pairs_of(out)[2]
+            assert row in {(2.0, 1), (6.0, 0)}
+            seen.add(row)
         assert seen == {(2.0, 1), (6.0, 0)}
 
     def test_event_row_past_the_last_censoring_keeps_its_place(self):
@@ -463,8 +460,7 @@ class TestConditionalBootstrap:
         model = build_model("condboot", arm_of([(1.0, 0), (2.0, 1), (3.0, 1)]))
         seen = set()
         for i in range(200):
-            o = conditional_bootstrap(model, 3, RandomStream(400, i)).observations[1]
-            seen.add((o.time, o.status))
+            seen.add(pairs_of(conditional_bootstrap(model, 3, RandomStream(400, i)))[1])
         assert seen == {(2.0, 1), (3.0, 0)}
 
     def test_output_size_is_pinned_to_source_size(self):
@@ -478,7 +474,7 @@ class TestConditionalBootstrap:
         model = build_model("condboot", synth_study(6, n=90).arms[1])
         a = simulate(model, 90, RandomStream(12, 9))
         b = simulate(model, 90, RandomStream(12, 9))
-        assert a.observations == b.observations
+        assert pairs_of(a) == pairs_of(b)
 
     def test_resampling_induces_ties(self):
         arm = synth_study(6, n=150).arms[0]
@@ -521,7 +517,7 @@ class TestParametricSimulation:
         model = build_model("parametric", synth_study(30, n=120).arms[1])
         a = simulate(model, 80, RandomStream(26, 5))
         b = simulate(model, 80, RandomStream(26, 5))
-        assert a.observations == b.observations
+        assert pairs_of(a) == pairs_of(b)
 
 
 class TestKdeSimulation:
@@ -551,7 +547,7 @@ class TestKdeSimulation:
         model = build_model("kde", synth_study(31, n=150).arms[0])
         a = simulate(model, 150, RandomStream(33, 2))
         b = simulate(model, 150, RandomStream(33, 2))
-        assert a.observations == b.observations
+        assert pairs_of(a) == pairs_of(b)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from scipy.optimize import minimize_scalar
 
 from survbench.core import (
     ArmData,
-    Observation,
     RandomStream,
     StudyDataset,
     arm_from_arrays,
@@ -30,15 +29,11 @@ from survbench.evaluate import (
     tie_ratio,
 )
 
-from helpers import synth_study
-
-
-def arm(label, pairs):
-    return ArmData(label, tuple(Observation(t, s) for t, s in pairs))
+from helpers import arm_of, survival_at, synth_study
 
 
 def study(pairs1, pairs2, labels=("A", "B")):
-    return StudyDataset((arm(labels[0], pairs1), arm(labels[1], pairs2)))
+    return StudyDataset((arm_of(pairs1, labels[0]), arm_of(pairs2, labels[1])))
 
 
 FIXTURE = study([(1.0, 1), (3.0, 1)], [(2.0, 1), (4.0, 1)])
@@ -250,7 +245,7 @@ class TestMonotoneTransformInvariance:
 
 
 class TestRmst:
-    FOUR = arm("A", [(1.0, 1), (2.0, 0), (3.0, 1), (4.0, 0)])
+    FOUR = arm_of([(1.0, 1), (2.0, 0), (3.0, 1), (4.0, 0)])
 
     def test_fixture_area(self):
         assert rmst(self.FOUR, 4.0) == pytest.approx(2.875, abs=1e-9)
@@ -267,7 +262,7 @@ class TestRmst:
         tau = 22.0
         xs = np.linspace(0.0, tau, 200001)
         mid = (xs[:-1] + xs[1:]) / 2.0
-        riemann = float(np.sum([curve.survival_at(t) for t in mid]) * (tau / 200000))
+        riemann = float(np.sum([survival_at(curve, t) for t in mid]) * (tau / 200000))
         assert rmst(a, tau) == pytest.approx(riemann, abs=1e-4)
 
     def test_non_decreasing_in_tau(self):

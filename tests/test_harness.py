@@ -13,8 +13,6 @@ import pytest
 
 from survbench.core import (
     MAX_COUNT,
-    ArmData,
-    Observation,
     ParseError,
     StudyDataset,
     StructureError,
@@ -36,7 +34,7 @@ from survbench.harness import (
 )
 from survbench.cli import main
 
-from helpers import digitize_exact, synth_study
+from helpers import arm_of, digitize_exact, synth_study
 
 
 def make_record(seed, study_id, n=60):
@@ -54,8 +52,8 @@ def make_record(seed, study_id, n=60):
 
 
 def all_censored_study():
-    a = ArmData("A", tuple(Observation(float(i), 1) for i in range(1, 11)))
-    b = ArmData("B", tuple(Observation(float(i), 0) for i in range(1, 11)))
+    a = arm_of([(float(i), 1) for i in range(1, 11)], "A")
+    b = arm_of([(float(i), 0) for i in range(1, 11)], "B")
     return StudyDataset((a, b))
 
 
@@ -68,8 +66,8 @@ def three_study_config(workers=1, output_dir=None):
     unreported.metadata.reported_hazard_ratio = None
     unreported.metadata.reported_medians = {"A": None, "B": None}
     zero = StudyDataset((
-        ArmData("A", (Observation(0.0, 0), Observation(2.0, 1), Observation(3.0, 1))),
-        ArmData("B", (Observation(0.0, 1), Observation(1.0, 1), Observation(1.5, 1))),
+        arm_of([(0.0, 0), (2.0, 1), (3.0, 1)], "A"),
+        arm_of([(0.0, 1), (1.0, 1), (1.5, 1)], "B"),
     ))
     metadata = StudyMetadata("zero", 0.5, None, {"A": None, "B": None}, "non-crossing")
     return BenchmarkConfig(
@@ -230,8 +228,8 @@ class TestRunBenchmark:
 
     def test_study_censored_only_at_zero_runs_with_rmstd_undefined(self):
         # tau is 0 for this study and for many of its case resamples
-        a = ArmData("A", (Observation(0.0, 0), Observation(2.0, 1)))
-        b = ArmData("B", (Observation(0.0, 1), Observation(1.0, 1)))
+        a = arm_of([(0.0, 0), (2.0, 1)], "A")
+        b = arm_of([(0.0, 1), (1.0, 1)], "B")
         dataset = StudyDataset((a, b))
         metadata = StudyMetadata("zero", 0.5, None, {"A": None, "B": None}, "non-crossing")
         record = StudyRecord(dataset, metadata, evaluate_dataset(dataset))

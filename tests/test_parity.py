@@ -23,8 +23,6 @@ from hypothesis import strategies as st
 from survbench import core, harness, reconstruct
 from survbench.core import (
     ArmData,
-    KmCurve,
-    Observation,
     ParseError,
     RandomStream,
     StructureError,
@@ -63,7 +61,7 @@ from survbench.evaluate import (
 from survbench.harness import BenchmarkConfig, StudyRecord, run_benchmark
 from survbench.reconstruct import DigitizedArm, InfeasibleCurveError, load_digitized_arm, reconstruct_arm
 
-from helpers import synth_study
+from helpers import arm_of, broken_curve_rules, pairs_of, survival_at, synth_study
 
 survbench_readers = {
     "load_dataset": core, "load_metadata": core, "load_config": harness,
@@ -142,7 +140,7 @@ def test_km_curve_and_median_match_the_loop(columns):
     )
     assert median_survival(curve) == oracle.median_survival(expected)
     for t, _, _, surv in expected:
-        assert curve.survival_at(t) == surv
+        assert survival_at(curve, t) == surv
 
 
 @settings(deadline=None)
@@ -245,7 +243,7 @@ def test_fitted_candidates_match_the_checked_objective(sample):
 def test_case_resample_matches_the_loop(columns, n_out, seed):
     arm = arm_from_arrays("A", *columns)
     out = case_resample(build_model("case", arm), n_out, RandomStream(seed, 1))
-    assert out.observations == oracle.case_resample(arm, n_out, RandomStream(seed, 1).generator)
+    assert pairs_of(out) == oracle.case_resample(arm, n_out, RandomStream(seed, 1).generator)
 
 
 @settings(deadline=None)
@@ -276,11 +274,10 @@ def _passes_the_arm_checks(arm):
 
 @settings(deadline=None)
 @given(arm_columns())
+@example((np.array([0.0, -0.0, 0.0, 1.0]), np.array([1, 1, 1, 0])))  # both zeros in one run
+@example((np.array([2.0, 1.0]), np.array([0, 0])))  # no events
 def test_derived_curve_passes_the_curve_checks(columns):
-    curve = km_estimate(arm_from_arrays("A", *columns))
-    checked = KmCurve(curve.steps)
-    for name in ("time", "at_risk", "events", "survival"):
-        assert np.array_equal(getattr(checked, name), getattr(curve, name))
+    assert broken_curve_rules(km_estimate(arm_from_arrays("A", *columns))) == []
 
 
 @settings(deadline=None)
@@ -326,8 +323,7 @@ def test_derived_columns_are_not_checked_again(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("derived columns were checked again")
 
-    monkeypatch.setattr(core, "_check_arm_columns", refuse)
-    monkeypatch.setattr(KmCurve, "__init__", refuse)
+    monkeypatch.setattr(ArmData, "__init__", refuse)
     arm = load_dataset(str(tmp_path / "study.csv")).arms[0]
     km_estimate(arm)
     censoring_km(arm)
@@ -409,8 +405,8 @@ def _record(study_id, dataset, reported=True):
 def test_folded_benchmark_matches_the_two_phase_loop():
     censored_only_at_zero = StudyDataset(
         (
-            ArmData("A", (Observation(0.0, 0), Observation(2.0, 1), Observation(3.0, 1))),
-            ArmData("B", (Observation(0.0, 1), Observation(1.0, 1), Observation(1.5, 1))),
+            arm_of([(0.0, 0), (2.0, 1), (3.0, 1)], "A"),
+            arm_of([(0.0, 1), (1.0, 1), (1.5, 1)], "B"),
         )
     )
     config = BenchmarkConfig(

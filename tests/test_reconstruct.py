@@ -17,7 +17,7 @@ from survbench.reconstruct import (
     reconstruct_study,
 )
 
-from helpers import corpus_study, digitize_exact, digitize_study, synth_study
+from helpers import corpus_study, digitize_exact, digitize_study, survival_at, synth_study
 
 
 class TestDigitizedArmValidation:
@@ -132,8 +132,8 @@ class TestGridReconstruction:
         rebuilt, _ = reconstruct_arm(digitize_exact(source, risk_times, prob_grid=grid))
         out = km_estimate(rebuilt)
         return max(
-            abs(out.survival_at(t) - step.survival)
-            for t, step in zip(src_curve.time, src_curve.steps)
+            abs(survival_at(out, t) - s)
+            for t, s in zip(src_curve.time, src_curve.survival)
         )
 
     # Coarsening is not monotone in general, so this holds only for a
