@@ -7,6 +7,7 @@ import io
 import json
 import math
 import numbers
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,10 +119,13 @@ class ArmData:
     """All observations of one treatment arm, held as two read-only columns.
 
     ``times()`` and ``statuses()`` return the columns themselves. The
-    constructor checks its columns once and copies them.
+    constructor checks its columns once and copies them. ``_km`` is a weak
+    reference to the last curve ``km_estimate`` built from them; it is not
+    part of the arm's value, so neither ``==`` nor pickling sees it.
     """
 
     __hash__ = None  # type: ignore[assignment]
+    _km: weakref.ref | None = None
 
     def __init__(self, label: str, times, status) -> None:
         if not label:
@@ -148,6 +152,11 @@ class ArmData:
 
     def __len__(self) -> int:
         return self._times.size
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_km", None)  # a weak reference does not pickle
+        return state
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ArmData):
@@ -275,7 +284,17 @@ def km_from_arrays(times: np.ndarray, status: np.ndarray) -> KmCurve:
 
 
 def km_estimate(arm: ArmData) -> KmCurve:
-    return km_from_arrays(arm.times(), arm.statuses())
+    """The arm's Kaplan-Meier curve, as ``km_from_arrays`` builds it.
+
+    While any caller still holds the curve last built for `arm`, the same
+    read-only object is returned; once every holder lets go it is freed,
+    and the next call builds it afresh. The arm never keeps it alive.
+    """
+    curve = arm._km() if arm._km is not None else None
+    if curve is None:
+        curve = km_from_arrays(arm.times(), arm.statuses())
+        arm._km = weakref.ref(curve)
+    return curve
 
 
 def median_survival(curve: KmCurve) -> float | None:

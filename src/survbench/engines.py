@@ -206,6 +206,71 @@ def censoring_km(arm: ArmData) -> CensoringDistribution:
     return CensoringDistribution(curve.time, masses)
 
 
+@dataclass(frozen=True)
+class CondbootPlan:
+    """What ``conditional_bootstrap`` derives from the source arm and its
+    censoring distribution alone, computed once by ``build_model``.
+
+    Every array is read-only; a call copies the two bases and fills in the
+    rows it draws. The ``draw`` rows are the event rows (not the largest
+    one) with censoring mass left beyond their own time: their partner is
+    an atom drawn from that mass, found between ``lo`` and the last atom.
+    Every other row keeps the partner its base holds.
+    """
+
+    atoms: np.ndarray  # censoring atom times
+    cum: np.ndarray  # cumulative censoring mass after each atom
+    draw: np.ndarray  # rows whose partner is drawn
+    lo: np.ndarray  # per drawn row: the first atom after its time
+    below: np.ndarray  # per drawn row: the censoring mass up to its time
+    tail: np.ndarray  # per drawn row: the censoring mass beyond its time
+    censor_base: np.ndarray  # latent censoring times, drawn rows unfilled
+    event_draw: np.ndarray  # rows whose event time is drawn from the pool
+    event_base: np.ndarray  # latent event times, drawn rows unfilled
+    pool: np.ndarray  # the source event times
+
+
+def condboot_plan(arm: ArmData, ghat: CensoringDistribution) -> CondbootPlan:
+    """The fixed part of every conditional bootstrap of `arm`; see ``conditional_bootstrap``."""
+    t, s = arm.times(), arm.statuses()
+    atoms = ghat.atom_times
+    upper = np.cumsum(ghat.atom_masses)
+    cum = np.concatenate(([0.0], upper))
+    max_idx = int(np.flatnonzero(t == np.max(t))[-1])  # latest index wins ties
+
+    # censored rows and the largest row keep their own time as partner
+    censor_base = t.copy()
+    partnered = s == 1
+    partnered[max_idx] = False
+    rows = partnered.nonzero()[0]
+    lo = np.searchsorted(atoms, t[rows], side="right")
+    below = cum[lo]
+    tail = cum[-1] - below
+    drawn = (lo < atoms.size) & (tail > 0.0)
+    # no censoring mass left beyond t[i]: the partner is the largest time
+    censor_base[rows[~drawn]] = float(t[max_idx]) if atoms.size else np.inf
+
+    event_base = np.full(t.size, np.nan)
+    if s[max_idx] == 0:
+        event_base[max_idx] = t[max_idx]
+    event_draw = np.isnan(event_base).nonzero()[0]
+    plan = CondbootPlan(
+        atoms=atoms,
+        cum=upper,
+        draw=rows[drawn],
+        lo=lo[drawn],
+        below=below[drawn],
+        tail=tail[drawn],
+        censor_base=censor_base,
+        event_draw=event_draw,
+        event_base=event_base,
+        pool=t[s == 1],
+    )
+    for array in vars(plan).values():
+        array.flags.writeable = False
+    return plan
+
+
 # ---------------------------------------------------------------------------
 # models
 
@@ -223,10 +288,16 @@ class ArmModel:
     event_kde: KdeDensity | None = None
     censoring_kde: KdeDensity | None = None
     ghat: CensoringDistribution | None = None
+    condboot: CondbootPlan | None = None
 
 
 def build_model(engine: str, arm: ArmData) -> ArmModel:
-    """Fit one arm for one engine; all expensive fitting happens here."""
+    """Fit one arm for one engine; all expensive fitting happens here.
+
+    A conditional-bootstrap model also holds its ``CondbootPlan``: every
+    array a draw needs that depends on the arm alone, built once here
+    rather than on each ``conditional_bootstrap`` call.
+    """
     kind = canonical_engine(engine)
     times, status = arm.times(), arm.statuses()
     events, censorings = times[status == 1], times[status == 0]
@@ -252,6 +323,7 @@ def build_model(engine: str, arm: ArmData) -> ArmModel:
         if events.size == 0:
             raise ModelBuildError(f"arm {arm.label!r}: no events to resample")
         model.ghat = censoring_km(arm)
+        model.condboot = condboot_plan(arm, model.ghat)
     return model
 
 
@@ -324,40 +396,26 @@ def conditional_bootstrap(
     whenever that time is redrawn for it. An event row with no censoring
     mass beyond its own time shares that partner, the largest observed
     time; in an arm with no censored subject every partner is ``+inf``.
+
+    Everything that depends on the arm alone comes from the model's
+    ``CondbootPlan``; a call draws the partners, then the event times,
+    into copies of the plan's bases.
     """
     gen = as_generator(rng)
     if n_out != model.n_source:
         raise SizeMismatchError(
             f"conditional bootstrap must keep the source size {model.n_source}, got {n_out}"
         )
-    t = model.source.times()
-    s = model.source.statuses()
-    atoms = model.ghat.atom_times
-    cum = np.concatenate(([0.0], np.cumsum(model.ghat.atom_masses)))
-    max_idx = int(np.flatnonzero(t == np.max(t))[-1])  # latest index wins ties
+    plan = model.condboot
+    atoms = plan.atoms
+    censor_latent = plan.censor_base.copy()
+    target = plan.below + gen.random(plan.draw.size) * plan.tail
+    j = np.searchsorted(plan.cum, target, side="left")
+    censor_latent[plan.draw] = atoms[np.minimum(np.maximum(j, plan.lo), atoms.size - 1)]
 
-    # censored rows and the largest row keep their own time as partner
-    censor_latent = t.copy()
-    partnered = s == 1
-    partnered[max_idx] = False
-    lo = np.searchsorted(atoms, t[partnered], side="right")
-    below = cum[lo]
-    tail = cum[-1] - below
-    draw = (lo < atoms.size) & (tail > 0.0)
-    # no censoring mass left beyond t[i]: the partner is the largest time
-    partner = np.full(lo.size, float(t[max_idx]) if atoms.size else np.inf)
-    target = below[draw] + gen.random(int(np.count_nonzero(draw))) * tail[draw]
-    j = np.searchsorted(cum[1:], target, side="left")
-    partner[draw] = atoms[np.minimum(np.maximum(j, lo[draw]), atoms.size - 1)]
-    censor_latent[partnered] = partner
-
-    event_latent = np.full(t.size, np.nan)
-    if s[max_idx] == 0:
-        event_latent[max_idx] = t[max_idx]
-    pool = t[s == 1]
-    to_draw = np.isnan(event_latent)
-    n_draw = int(np.count_nonzero(to_draw))
-    event_latent[to_draw] = pool[gen.integers(0, pool.size, size=n_draw)]
+    event_latent = plan.event_base.copy()
+    pool = plan.pool
+    event_latent[plan.event_draw] = pool[gen.integers(0, pool.size, size=plan.event_draw.size)]
     # every time is a source time, and a +inf partner leaves its row an event
     return ArmData._from_columns(model.label, *observe_arrays(event_latent, censor_latent))
 

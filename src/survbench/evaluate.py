@@ -263,7 +263,9 @@ def evaluate_dataset(dataset: StudyDataset) -> EvaluationResult:
     """All comparison statistics; degenerate ones are recorded as absent.
 
     Logrank and Cox share one event table: the logrank test is the Cox
-    score test at beta = 0, over the same risk sets.
+    score test at beta = 0, over the same risk sets. The two curves the
+    medians are read from are held until ``rmstd`` has run, so its
+    ``km_estimate`` calls return them instead of building them again.
     """
     statistic = p_value = hazard_ratio = None
     try:
@@ -273,9 +275,8 @@ def evaluate_dataset(dataset: StudyDataset) -> EvaluationResult:
         statistic, p_value = lr.statistic, lr.p_value
     except DegenerateTestError:
         pass  # no events at all, or a zero logrank variance
-    medians = {
-        arm.label: median_survival(km_estimate(arm)) for arm in dataset.arms
-    }
+    curves = [km_estimate(arm) for arm in dataset.arms]
+    medians = {arm.label: median_survival(curve) for arm, curve in zip(dataset.arms, curves)}
     tau = rmst_tau(dataset)
     return EvaluationResult(
         logrank_statistic=statistic,

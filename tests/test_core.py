@@ -2,7 +2,9 @@
 
 import json
 import math
+import pickle
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -130,6 +132,43 @@ class TestKaplanMeier:
     def test_curve_validation_rejects_malformed_steps(self, steps):
         rows, rule = steps
         assert broken_curve_rules(curve_of(rows)) == [rule]
+
+
+class TestKaplanMeierReuse:
+    def test_a_held_curve_is_returned_again(self):
+        arm = arm_of(FOUR_OBS)
+        curve = km_estimate(arm)
+        assert km_estimate(arm) is curve
+
+    def test_a_released_curve_is_built_afresh(self):
+        arm = arm_of(FOUR_OBS)
+        first = km_estimate(arm)
+        columns = [c.tobytes() for c in (first.time, first.at_risk, first.events, first.survival)]
+        released = weakref.ref(first)
+        del first
+        assert released() is None
+        again = km_estimate(arm)
+        assert [c.tobytes() for c in (again.time, again.at_risk, again.events, again.survival)] == columns
+
+    def test_the_arm_does_not_keep_its_curve_alive(self):
+        arm = arm_of(FOUR_OBS)
+        km_estimate(arm)
+        assert arm._km() is None
+
+    def test_an_arm_holding_a_curve_pickles_and_compares_by_value(self):
+        arm = arm_of(FOUR_OBS)
+        curve = km_estimate(arm)
+        copy = pickle.loads(pickle.dumps(arm))
+        assert copy == arm and arm == arm_of(FOUR_OBS)
+        assert km_estimate(copy) is not curve
+
+    def test_a_shared_curve_stays_read_only(self):
+        arm = arm_of(FOUR_OBS)
+        curve = km_estimate(arm)
+        for column in (curve.time, curve.at_risk, curve.events, curve.survival):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        assert km_estimate(arm).survival.tolist() == [0.75, 0.375]
 
 
 class TestMedianSurvival:

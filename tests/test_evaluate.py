@@ -1,5 +1,6 @@
 """Per-dataset statistics against independent brute-force oracles."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from survbench import core, evaluate
 from survbench.core import (
     ArmData,
     RandomStream,
@@ -399,3 +401,43 @@ class TestEvaluateDataset:
         path = tmp_path / "eval.json"
         store_evaluation(res, str(path))
         assert json.loads(path.read_text()) == dataclasses.asdict(res)
+
+
+class TestSharedCurves:
+    def test_each_arm_curve_is_built_once_per_study(self, monkeypatch):
+        # the medians' curves are held until rmstd has asked for them again:
+        # four km_estimate calls per study, two of them builds
+        counts = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(core, "km_from_arrays", counted("builds", core.km_from_arrays))
+        monkeypatch.setattr(evaluate, "km_estimate", counted("calls", evaluate.km_estimate))
+        for seed in range(3):
+            counts.clear()
+            assert evaluate_dataset(synth_study(seed, n=30)).rmstd is not None
+            assert counts == {"builds": 2, "calls": 4}
+
+    def test_five_subject_arm_with_a_tie_by_hand(self):
+        # A: two events tied at 2 among 5 at risk, then one at 5 among 2
+        #   S = 1 - 2/5 = 0.6 on [2, 5), 0.6 * (1 - 1/2) = 0.3 from 5
+        # B: one event at 1 among 2, S = 0.5 from 1
+        # both arm maxima are censored, so tau = min(7, 4) = 4
+        ds = study([(2.0, 1), (7.0, 0), (3.0, 0), (2.0, 1), (5.0, 1)], [(1.0, 1), (4.0, 0)])
+        curve = km_estimate(ds.arms[0])
+        assert [(s.time, s.at_risk, s.events, s.survival) for s in curve.steps] == [
+            (2.0, 5, 2, 0.6),
+            (5.0, 2, 1, 0.3),
+        ]
+        res = evaluate_dataset(ds)
+        assert res.medians == {"A": 5.0, "B": 1.0}
+        assert res.tau == 4.0
+        # RMST(A, 4) = 1 * 2 + 0.6 * 2 = 3.2 and RMST(B, 4) = 1 * 1 + 0.5 * 3 = 2.5
+        assert rmst(ds.arms[0], 4.0) == pytest.approx(3.2, abs=1e-15)
+        assert rmst(ds.arms[1], 4.0) == 2.5
+        assert res.rmstd == pytest.approx(0.7, abs=1e-15)

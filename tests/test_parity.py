@@ -12,6 +12,7 @@ import os
 import re
 import sys
 import tempfile
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from survbench import core, harness, reconstruct
+from survbench import core, evaluate, harness, reconstruct
 from survbench.core import (
     ArmData,
     ParseError,
@@ -44,6 +45,7 @@ from survbench.engines import (
     kde_fit,
     kde_sample,
     silverman_bandwidth,
+    simulate,
 )
 from survbench.evaluate import (
     DegenerateTestError,
@@ -210,6 +212,28 @@ def test_shared_event_table_matches_one_table_per_statistic(dataset):
                 assert _outcome(new, dataset, beta, ties) == _outcome(old, dataset, beta, ties)
 
 
+_KM_COLUMNS = ("time", "at_risk", "events", "survival")
+
+
+@settings(deadline=None, max_examples=200)
+@given(studies())
+@example(_study([(-0.0, 1), (0.0, 0), (1.0, 1)], [(0.0, 1), (-0.0, 0), (2.0, 0)]))  # signed zeros
+@example(_study([(1.0, 0), (2.0, 0)], [(0.0, 0), (3.0, 0)]))  # all censored
+@example(_study([(1.0, 0), (2.5, 0)], [(0.5, 1), (2.0, 1), (3.0, 0)]))  # an arm without events
+@example(_study([(0.0, 0), (2.0, 1), (3.0, 1)], [(0.0, 1), (1.0, 1), (1.5, 1)]))  # tau = 0
+def test_shared_curves_match_a_fresh_build_per_call(dataset):
+    shared = evaluate_dataset(dataset)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluate, "km_estimate", lambda arm: km_from_arrays(arm.times(), arm.statuses()))
+        fresh = evaluate_dataset(dataset)
+    # a float's repr round-trips it exactly, the sign of a zero included
+    assert json.dumps(shared.to_json()) == json.dumps(fresh.to_json())
+    for arm in dataset.arms:
+        released = weakref.ref(km_estimate(arm))
+        assert released() is None
+        _same_columns(km_estimate(arm), km_from_arrays(arm.times(), arm.statuses()), _KM_COLUMNS)
+
+
 def _fitted(fit, sample):
     try:
         fits, failures = fit(sample)
@@ -260,6 +284,31 @@ def test_conditional_bootstrap_matches_the_loop(columns, seed):
         arm, model.ghat.atom_times, model.ghat.atom_masses, RandomStream(seed, 2).generator
     )
     assert list(zip(out.times().tolist(), out.statuses().tolist())) == expected
+
+
+_CONDBOOT_EDGE_ARMS = {
+    "largest censored": [(1.0, 1), (2.0, 0), (3.0, 1), (3.5, 1), (5.0, 0)],
+    "largest an event": [(1.0, 0), (2.0, 1), (4.0, 0), (4.5, 1), (6.0, 1)],
+    "ties at the maximum": [(1.0, 1), (3.0, 0), (5.0, 1), (5.0, 0), (5.0, 1)],
+    "no censored subject": [(1.0, 1), (2.0, 1), (2.0, 1), (4.0, 1)],
+    "every censor before every event": [(1.0, 0), (1.5, 0), (2.0, 1), (3.0, 1), (4.0, 1)],
+}
+
+
+@pytest.mark.parametrize("pairs", _CONDBOOT_EDGE_ARMS.values(), ids=_CONDBOOT_EDGE_ARMS.keys())
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_consecutive_conditional_bootstraps_match_the_loop(pairs, seed):
+    # draws from one model and one generator: a call that changed the
+    # model's arrays would show in the calls after it
+    arm = arm_of(pairs)
+    model = build_model("condboot", arm)
+    gen, reference = RandomStream(seed, 2).generator, RandomStream(seed, 2).generator
+    for _ in range(3):
+        expected = oracle.conditional_bootstrap(arm, model.ghat.atom_times, model.ghat.atom_masses, reference)
+        assert pairs_of(simulate(model, len(arm), gen)) == expected
+    for array in vars(model.condboot).values():
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 # ---------------------------------------------------------------------------
