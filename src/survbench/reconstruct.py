@@ -1,6 +1,6 @@
 """Rebuilding patient-level data from digitized Kaplan-Meier curves.
 
-The input per arm is the clicked curve (time, survival pairs), the
+The input per arm is the clicked curve (time and survival columns), the
 published number-at-risk table and optionally the published total event
 count. Censoring inside a risk interval is only identifiable up to its
 count, so censored subjects are spread uniformly over the interval and
@@ -14,8 +14,6 @@ import operator
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import itemgetter
 
 import numpy as np
 
@@ -48,98 +46,91 @@ class InfeasibleCurveError(ValueError):
 
 @dataclass
 class DigitizedArm:
-    """One digitized arm: curve clicks, risk table, optional event total.
+    """One digitized arm as four columns: the curve clicks (`times`,
+    `survivals`), the risk table (`risk_times`, `risk_counts`) and an
+    optional event total.
 
-    The constructor checks every value. ``load_digitized_arm`` checks values as
-    it parses them, then ``_from_columns`` applies only the rules on the whole table.
+    The constructor checks every value, converts times and survivals to
+    float and a whole float count such as ``10.0`` to int, and cleans the
+    curve (``_monotonize``). Each rule is checked on a whole column; only
+    when a risk column fails are its rows read one at a time, to name the
+    first bad one.
     """
 
     label: str
-    coordinates: list[tuple[float, float]]
-    risk_table: list[tuple[float, int]]
+    times: list[float]
+    survivals: list[float]
+    risk_times: list[float]
+    risk_counts: list[int]
     total_events: int | None = None
 
     def __post_init__(self) -> None:
-        coordinates = [(float(t), float(s)) for t, s in self.coordinates]
-        for t, s in coordinates:
-            if math.isnan(s):
-                raise ValueError(f"bad coordinate survival {s} at time {t}")
-        risk_times, counts = _columns(self.risk_table)
-        counts = [int(n) if isinstance(n, float) and n.is_integer() else n for n in counts]  # 10.0 is 10
-        self._settle(*_columns(coordinates), risk_times, counts)
-        self.risk_table = [(float(t), int(n)) for t, n in self.risk_table]
-
-    @classmethod
-    def _from_columns(cls, label: str, times, survivals, risk_times, counts, total_events) -> DigitizedArm:
-        """The constructor for the reader's columns: finite floats, and int counts up to MAX_COUNT."""
-        arm = cls.__new__(cls)
-        arm.label, arm.total_events = label, total_events
-        arm._settle(times, survivals, risk_times, counts, rows_checked=True)
-        return arm
-
-    def _settle(self, times, survivals, risk_times, counts, rows_checked: bool = False) -> None:
-        """Check the rules on the table as a whole and clean the curve."""
-        if not self.label:
+        label = self.label
+        if not label:
             raise ValueError("arm label must be non-empty")
+        times, survivals = list(map(float, self.times)), list(map(float, self.survivals))
+        risk_times, counts = list(map(float, self.risk_times)), list(self.risk_counts)
+        if len(times) != len(survivals) or len(risk_times) != len(counts):
+            raise ValueError(f"arm {label!r}: the two columns of each table must have equal length")
         if not times:
-            raise ValueError(f"arm {self.label!r}: no curve coordinates")
+            raise ValueError(f"arm {label!r}: no curve coordinates")
         if not risk_times:
-            raise ValueError(f"arm {self.label!r}: empty risk table")
-        # a reader's times are finite already: of the time rule only >= 0 is left
-        if not (min(times) >= 0.0 if rows_checked else times_ok(times)):
-            raise ValueError(f"bad coordinate time {next(t for t in times if not times_ok(t))}")
-        self.coordinates = _monotonize(times, survivals)
-        self.risk_table = list(zip(risk_times, counts))
-        # rows a reader checked hold finite times and int counts up to MAX_COUNT: then rising times
-        # whose first keeps the time rule, and a least count that keeps the count rule, keep both
-        # rules in every row. Otherwise every row is checked, naming the first bad one.
+            raise ValueError(f"arm {label!r}: empty risk table")
+        if not times_ok(times):
+            raise ValueError(f"bad coordinate time {next(t for t in times if not times_ok((t,)))}")
+        if any(map(math.isnan, survivals)):
+            t = next(t for t, s in zip(times, survivals) if math.isnan(s))
+            raise ValueError(f"bad coordinate survival nan at time {t}")
+        # strictly rising risk times keep the time rule if the first and the last do
         if not (
-            rows_checked
-            and all(map(operator.lt, risk_times, islice(risk_times, 1, None)))
-            and times_ok(risk_times[:1])
-            and counts_ok((min(counts),), 1)
-        ):
+            all(map(operator.lt, risk_times, risk_times[1:]))
+            and times_ok((risk_times[0], risk_times[-1]))
+            and counts_ok(counts, 1)
+        ):  # a rule fails, or a count is a float: read the rows, naming the first bad one
             prev_t = -math.inf  # within a row, the rules in this order
-            for t, n in self.risk_table:
+            for j, (t, n) in enumerate(zip(risk_times, counts)):
                 if not times_ok((t,)):
-                    raise ValueError(f"arm {self.label!r}: bad risk time {t}")
+                    raise ValueError(f"arm {label!r}: bad risk time {t}")
                 if t <= prev_t:
-                    raise ValueError(f"arm {self.label!r}: risk times must be strictly increasing")
+                    raise ValueError(f"arm {label!r}: risk times must be strictly increasing")
+                if isinstance(n, float) and n.is_integer():
+                    n = counts[j] = int(n)  # 10.0 is 10
                 if not counts_ok((n,), 1):
-                    raise ValueError(f"arm {self.label!r}: n_at_risk must be a positive integer")
+                    raise ValueError(f"arm {label!r}: n_at_risk must be a positive integer")
                 prev_t = t
-        if self.risk_table[0][0] > self.coordinates[0][0]:
-            raise ValueError(f"arm {self.label!r}: first risk time must not exceed the first coordinate")
+        self.times, self.survivals = _monotonize(times, survivals)
+        self.risk_times, self.risk_counts = risk_times, list(map(operator.index, counts))
+        if risk_times[0] > self.times[0]:
+            raise ValueError(f"arm {label!r}: first risk time must not exceed the first coordinate")
         if self.total_events is not None:
             if not counts_ok((self.total_events,)):
-                raise ValueError(_TOTAL_RULE.format(self.label, self.total_events))
+                raise ValueError(_TOTAL_RULE.format(label, self.total_events))
             self.total_events = int(self.total_events)
 
 
 _TOTAL_RULE = "arm {!r}: total_events must be an integer >= 0, got {!r}"
 
 
-def _columns(pairs) -> tuple[tuple, tuple]:
-    return tuple(zip(*pairs)) or ((), ())
-
-
-def _monotonize(times, survivals) -> list[tuple[float, float]]:
+def _monotonize(times: list[float], survivals: list[float]) -> tuple[list[float], list[float]]:
     """Sort by time, collapse duplicate times and force survival downhill.
 
     The columns hold floats, times finite and >= 0, no survival nan. A
     repeated time keeps its first click and its least survival.
     """
-    out: list[tuple[float, float]] = []
+    out_times: list[float] = []
+    out_survivals: list[float] = []
     last = least = floor = math.nan  # floor: the survival before time `last`
-    for t, s in sorted(zip(times, survivals), key=itemgetter(0)):  # stable: repeated times keep their order
+    for i in sorted(range(len(times)), key=times.__getitem__):  # stable: repeated times keep their order
+        t, s = times[i], survivals[i]
         s = 0.0 if s < 0.0 else 1.0 if s > 1.0 else s  # clamp, keeping -0.0 as np.clip does
         if t == last:
             least = least if least < s else s
-            out[-1] = (out[-1][0], least if least < floor else floor)
+            out_survivals[-1] = least if least < floor else floor
         else:
-            last, least, floor = t, s, out[-1][1] if out else 1.0
-            out.append((t, s if s < floor else floor))
-    return out
+            last, least, floor = t, s, out_survivals[-1] if out_survivals else 1.0
+            out_times.append(t)
+            out_survivals.append(s if s < floor else floor)
+    return out_times, out_survivals
 
 
 @dataclass
@@ -205,8 +196,8 @@ def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
     interval's clicks, and the survival just before its end, are found by
     bisection rather than by scanning every click.
     """
-    click_times, survs = _columns(arm.coordinates)
-    risk_times, published = _columns(arm.risk_table)
+    click_times, survs = arm.times, arm.survivals
+    risk_times, published = arm.risk_times, arm.risk_counts
     t_last = risk_times[-1]
     t_end_time = max(click_times[-1], t_last)
     event_times, event_counts, censor_times, misses = [], [], [], []
@@ -296,7 +287,7 @@ def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
     achieved = (times.size - np.searchsorted(times, risk_times, side="left")).tolist()
     risk_rows = list(zip(risk_times, published, achieved))
     # a constraint the output misses, unless its interval's pass recorded it
-    if achieved != list(published):
+    if achieved != published:
         missed = {end for _, end, constraint, _ in misses if constraint == "risk row"}
         for j, (t, want, got) in enumerate(risk_rows):
             if got != want and t not in missed:
@@ -354,13 +345,13 @@ def load_digitized_arm(
 ) -> DigitizedArm:
     """Read one arm from its coordinate and risk-table CSV pair.
 
-    Each value is converted and checked once, as it is parsed; the arm is
-    built from the parsed columns without checking their values again.
+    Each value is converted and checked as it is parsed, naming its line;
+    ``DigitizedArm`` then checks the rules of the table on the parsed columns.
     """
     coords = _read_columns(coords_path, COORDS_HEADER, _FINITE)
     risk = _read_columns(risk_path, RISK_HEADER, _COUNT)
     try:
-        return DigitizedArm._from_columns(label, *coords, *risk, total_events)
+        return DigitizedArm(label, *coords, *risk, total_events)
     except ValueError as exc:
         raise StructureError(f"{coords_path}, {risk_path}: {exc}") from None
 

@@ -22,6 +22,17 @@ def arm_of(pairs, label: str = "A") -> ArmData:
     return ArmData(label, [t for t, _ in pairs], [s for _, s in pairs])
 
 
+def columns_of(pairs) -> tuple[list, list]:
+    """The two columns of a list of pairs."""
+    return [a for a, _ in pairs], [b for _, b in pairs]
+
+
+def digitized_arm_of(label: str, clicks, rows, total_events=None) -> DigitizedArm:
+    """A digitized arm from (time, survival) clicks and (time, n_at_risk)
+    rows, through the checked constructor."""
+    return DigitizedArm(label, *columns_of(clicks), *columns_of(rows), total_events)
+
+
 def pairs_of(arm: ArmData) -> list[tuple[float, int]]:
     """The arm's rows as (time, status) pairs of Python values, in order."""
     return list(zip(arm.times().tolist(), arm.statuses().tolist()))
@@ -122,7 +133,7 @@ def digitize_exact(
             break
         rows.append((float(t), n_at))
     total = int(arm.statuses().sum()) if with_total else None
-    return DigitizedArm(arm.label, coords, rows, total)
+    return digitized_arm_of(arm.label, coords, rows, total)
 
 
 def pooled_event_grid(dataset: StudyDataset) -> list[float]:

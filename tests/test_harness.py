@@ -584,11 +584,11 @@ class TestCli:
             risk_path = tmp_path / f"risk_{arm.label}.csv"
             with open(coords_path, "w") as fh:
                 fh.write("time,survival\n")
-                for t, s in dig.coordinates:
+                for t, s in zip(dig.times, dig.survivals):
                     fh.write(f"{t!r},{s!r}\n")
             with open(risk_path, "w") as fh:
                 fh.write("time,n_risk\n")
-                for t, n in dig.risk_table:
+                for t, n in zip(dig.risk_times, dig.risk_counts):
                     fh.write(f"{t!r},{n}\n")
             per_arm[arm.label] = (coords_path, risk_path, dig.total_events)
         meta_path = tmp_path / "totals.json"

@@ -63,7 +63,7 @@ from survbench.evaluate import (
 from survbench.harness import BenchmarkConfig, StudyRecord, run_benchmark
 from survbench.reconstruct import DigitizedArm, InfeasibleCurveError, load_digitized_arm, reconstruct_arm
 
-from helpers import arm_of, broken_curve_rules, pairs_of, survival_at, synth_study
+from helpers import arm_of, broken_curve_rules, columns_of, digitized_arm_of, pairs_of, survival_at, synth_study
 
 survbench_readers = {
     "load_dataset": core, "load_metadata": core, "load_config": harness,
@@ -561,12 +561,13 @@ def digitized_inputs(draw):
 @example(([(-0.0, -0.0), (0.5, 1.2)], [(0.0, 3), (0.5, 3)], None, True))
 def test_bisected_reconstruction_matches_the_scanning_loop(inputs):
     clicks, rows, total, drop_first = inputs
-    arm = DigitizedArm("A", clicks, rows, total)
-    assert repr(arm.coordinates) == repr(oracle.monotonize(clicks))
+    arm, reference = digitized_arm_of("A", clicks, rows, total), oracle.DigitizedArm("A", clicks, rows, total)
+    assert repr((arm.times, arm.survivals)) == repr(columns_of(oracle.monotonize(clicks)))
     if drop_first:
-        arm.risk_table = arm.risk_table[1:]
+        arm.risk_times, arm.risk_counts = arm.risk_times[1:], arm.risk_counts[1:]
+        reference.risk_table = reference.risk_table[1:]
     try:
-        expected_arm, expected_report = oracle.reconstruct_arm(arm)
+        expected_arm, expected_report = oracle.reconstruct_arm(reference)
     except InfeasibleCurveError as exc:
         with pytest.raises(InfeasibleCurveError, match=re.escape(str(exc))):
             reconstruct_arm(arm)
@@ -628,13 +629,20 @@ def digitized_csv_texts(draw):
     )
 
 
+def _digitized_text(arm) -> str:
+    """The arm's cleaned columns as text; an oracle arm holds them as pairs."""
+    if isinstance(arm, oracle.DigitizedArm):
+        return repr((*columns_of(arm.coordinates), *columns_of(arm.risk_table), arm.total_events))
+    return repr((arm.times, arm.survivals, arm.risk_times, arm.risk_counts, arm.total_events))
+
+
 def _loaded(load, *args):
-    """The arm's cleaned values as text, or the class and message of what it raised."""
+    """The arm's cleaned columns as text, or the class and message of what it raised."""
     try:
         arm = load(*args)
     except (ValueError, TypeError) as exc:
         return type(exc), str(exc)
-    return repr(arm.coordinates), repr(arm.risk_table), repr(arm.total_events)
+    return _digitized_text(arm)
 
 
 @settings(deadline=None, max_examples=400)
@@ -671,11 +679,18 @@ def test_reader_checks_once_and_agrees_with_the_two_pass_reader(texts):
         ([(0.0, 1.0)], [(0.0, 10)], 2.5),
         ([], [(0.0, 10)], None),
         ([(0.0, 1.0)], [], None),
+        # a table given as two columns of unequal length, which pairs cannot express
+        (([0.0, 1.0], [1.0]), [(0.0, 10)], None),
+        ([(0.0, 1.0)], ([0.0], [10, 8]), None),
     ],
 )
 def test_digitized_arm_checks_agree_with_the_two_pass_checks(coordinates, risk_table, total):
-    expected = _loaded(oracle.DigitizedArm, "A", coordinates, risk_table, total)
-    assert _loaded(DigitizedArm, "A", coordinates, risk_table, total) == expected
+    tables = [table if isinstance(table, tuple) else columns_of(table) for table in (coordinates, risk_table)]
+    got = _loaded(DigitizedArm, "A", *tables[0], *tables[1], total)
+    if any(len(a) != len(b) for a, b in tables):
+        assert got == (ValueError, "arm 'A': the two columns of each table must have equal length")
+    else:
+        assert got == _loaded(oracle.DigitizedArm, "A", coordinates, risk_table, total)
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +832,7 @@ def test_readers_reject_what_they_rejected_before(case):
                 for c in (expected, got)
             )
         elif name == "load_digitized_arm":
-            expected, got = (repr((a.coordinates, a.risk_table, a.total_events)) for a in (expected, got))
+            expected, got = _digitized_text(expected), _digitized_text(got)
         assert got == expected
     elif isinstance(old[1], ValueError):  # a ParseError or StructureError (or a ValueError) naming the file
         assert new[0] == "error" and type(new[1]) is type(old[1]), new

@@ -17,70 +17,71 @@ from survbench.reconstruct import (
     reconstruct_study,
 )
 
-from helpers import corpus_study, digitize_exact, digitize_study, survival_at, synth_study
+from helpers import corpus_study, digitize_exact, digitize_study, digitized_arm_of, survival_at, synth_study
 
 
 class TestDigitizedArmValidation:
     def test_monotonization_sorts_dedupes_and_clamps(self):
-        arm = DigitizedArm(
+        arm = digitized_arm_of(
             "A",
             [(2.0, 0.70), (0.0, 1.2), (1.0, 0.9), (1.0, 0.85), (3.0, 0.72)],
             [(0.0, 10)],
         )
-        assert arm.coordinates == [(0.0, 1.0), (1.0, 0.85), (2.0, 0.70), (3.0, 0.70)]
+        assert (arm.times, arm.survivals) == ([0.0, 1.0, 2.0, 3.0], [1.0, 0.85, 0.70, 0.70])
 
     def test_survival_clamped_to_unit_interval(self):
-        arm = DigitizedArm("A", [(0.0, 1.0), (1.0, -0.05)], [(0.0, 10)])
-        assert arm.coordinates[-1] == (1.0, 0.0)
+        arm = digitized_arm_of("A", [(0.0, 1.0), (1.0, -0.05)], [(0.0, 10)])
+        assert (arm.times[-1], arm.survivals[-1]) == (1.0, 0.0)
 
     def test_empty_coordinates_rejected(self):
         with pytest.raises(ValueError, match="coordinates"):
-            DigitizedArm("A", [], [(0.0, 10)])
+            digitized_arm_of("A", [], [(0.0, 10)])
 
     def test_empty_risk_table_rejected(self):
         with pytest.raises(ValueError, match="risk table"):
-            DigitizedArm("A", [(0.0, 1.0)], [])
+            digitized_arm_of("A", [(0.0, 1.0)], [])
 
     def test_non_increasing_risk_times_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            DigitizedArm("A", [(0.0, 1.0)], [(2.0, 10), (2.0, 8)])
+            digitized_arm_of("A", [(0.0, 1.0)], [(2.0, 10), (2.0, 8)])
 
     def test_risk_table_must_start_at_or_before_first_click(self):
         with pytest.raises(ValueError, match="first risk time"):
-            DigitizedArm("A", [(0.0, 1.0), (1.0, 0.9)], [(0.5, 10)])
+            digitized_arm_of("A", [(0.0, 1.0), (1.0, 0.9)], [(0.5, 10)])
 
     def test_zero_at_risk_rejected(self):
         with pytest.raises(ValueError, match="positive integer"):
-            DigitizedArm("A", [(0.0, 1.0)], [(0.0, 0)])
+            digitized_arm_of("A", [(0.0, 1.0)], [(0.0, 0)])
 
     def test_negative_total_events_rejected(self):
         with pytest.raises(ValueError, match="total_events"):
-            DigitizedArm("A", [(0.0, 1.0)], [(0.0, 10)], total_events=-1)
+            digitized_arm_of("A", [(0.0, 1.0)], [(0.0, 10)], total_events=-1)
 
     @pytest.mark.parametrize("total", [2.5, 2.0, True, "3"])
     def test_non_integer_total_events_rejected(self, total):
         with pytest.raises(ValueError, match="total_events must be an integer >= 0"):
-            DigitizedArm("A", [(0.0, 1.0)], [(0.0, 10)], total_events=total)
+            digitized_arm_of("A", [(0.0, 1.0)], [(0.0, 10)], total_events=total)
 
     def test_nan_survival_rejected(self):
         with pytest.raises(ValueError, match="bad coordinate survival nan at time 1.0"):
-            DigitizedArm("A", [(0.0, 1.0), (1.0, float("nan")), (2.0, 0.5)], [(0.0, 10)])
+            digitized_arm_of("A", [(0.0, 1.0), (1.0, float("nan")), (2.0, 0.5)], [(0.0, 10)])
 
     @pytest.mark.parametrize(
         "count", [float("inf"), float("nan"), pytest.param(10**400, id="10**400"), MAX_COUNT + 1, np.uint64(2**63)]
     )
     def test_non_finite_risk_count_rejected(self, count):
         with pytest.raises(ValueError, match="n_at_risk must be a positive integer"):
-            DigitizedArm("A", [(0.0, 1.0)], [(0.0, 10), (1.0, count)])
+            digitized_arm_of("A", [(0.0, 1.0)], [(0.0, 10), (1.0, count)])
 
     @pytest.mark.parametrize("count", [True, np.bool_(True)])
     def test_bool_risk_count_rejected(self, count):
         with pytest.raises(ValueError, match="n_at_risk must be a positive integer"):
-            DigitizedArm("A", [(0.0, 1.0), (1.0, 0.5)], [(0.0, count)])
+            digitized_arm_of("A", [(0.0, 1.0), (1.0, 0.5)], [(0.0, count)])
 
 
     def test_count_at_the_limit_accepted(self):
-        assert DigitizedArm("A", [(0.0, 1.0)], [(0.0, MAX_COUNT)]).risk_table == [(0.0, MAX_COUNT)]
+        arm = digitized_arm_of("A", [(0.0, 1.0)], [(0.0, MAX_COUNT)])
+        assert (arm.risk_times, arm.risk_counts) == ([0.0], [MAX_COUNT])
 
 
 class TestExactRoundTrip:
@@ -172,7 +173,7 @@ class TestEventTotalCalibration:
 
     def test_total_recovers_censoring_beyond_the_risk_table(self):
         rebuilt, report = reconstruct_arm(
-            DigitizedArm("A", self.COORDS, self.RISK, total_events=4)
+            digitized_arm_of("A", self.COORDS, self.RISK, total_events=4)
         )
         assert report.converged
         assert report.achieved_total_events == 4
@@ -185,7 +186,7 @@ class TestEventTotalCalibration:
 
     def test_unconstrained_tail_reads_all_drops_as_events(self):
         rebuilt, report = reconstruct_arm(
-            DigitizedArm("A", self.COORDS, self.RISK, total_events=None)
+            digitized_arm_of("A", self.COORDS, self.RISK, total_events=None)
         )
         assert report.achieved_total_events == 8
         assert report.total_events_target is None
@@ -193,14 +194,14 @@ class TestEventTotalCalibration:
 
     def test_unreachable_total_flags_non_convergence(self):
         _, report = reconstruct_arm(
-            DigitizedArm("A", self.COORDS, self.RISK, total_events=20)
+            digitized_arm_of("A", self.COORDS, self.RISK, total_events=20)
         )
         assert not report.converged
         assert report.achieved_total_events < 20
 
     def test_survivors_are_censored_at_the_last_click(self):
         coords = [(0.0, 1.0), (1.0, 0.9), (2.0, 0.8)]
-        rebuilt, _ = reconstruct_arm(DigitizedArm("A", coords, [(0.0, 10)], total_events=2))
+        rebuilt, _ = reconstruct_arm(digitized_arm_of("A", coords, [(0.0, 10)], total_events=2))
         times = rebuilt.times()
         statuses = rebuilt.statuses()
         assert int(statuses.sum()) == 2
@@ -210,13 +211,13 @@ class TestEventTotalCalibration:
 class TestInfeasibleInputs:
     def test_rising_published_risk_names_the_interval(self):
         with pytest.raises(InfeasibleCurveError, match=r"interval \[0.0, 2.0\)"):
-            reconstruct_arm(DigitizedArm("A", [(0.0, 1.0), (1.0, 0.9)], [(0.0, 10), (2.0, 12)]))
+            reconstruct_arm(digitized_arm_of("A", [(0.0, 1.0), (1.0, 0.9)], [(0.0, 10), (2.0, 12)]))
 
     def test_depleted_curve_falls_back_to_best_effort(self):
         # The curve hits zero before the table's last row, so no censor
         # count can honor both; the mismatch is reported, not raised.
         rebuilt, report = reconstruct_arm(
-            DigitizedArm("A", [(0.0, 1.0), (1.0, 0.0)], [(0.0, 10), (2.0, 5)])
+            digitized_arm_of("A", [(0.0, 1.0), (1.0, 0.0)], [(0.0, 10), (2.0, 5)])
         )
         assert not report.converged
         assert report.risk_rows == [(0.0, 10, 10), (2.0, 5, 0)]
@@ -228,30 +229,30 @@ class TestMisses:
     RISK = TestEventTotalCalibration.RISK
 
     def test_a_converged_arm_records_none(self):
-        _, report = reconstruct_arm(DigitizedArm("A", self.COORDS, self.RISK, total_events=4))
+        _, report = reconstruct_arm(digitized_arm_of("A", self.COORDS, self.RISK, total_events=4))
         assert report.converged and report.misses == []
         assert report.to_json()["misses"] == []
 
     def test_an_unreachable_total_names_the_tail_and_its_residual(self):
-        _, report = reconstruct_arm(DigitizedArm("A", self.COORDS, self.RISK, total_events=20))
+        _, report = reconstruct_arm(digitized_arm_of("A", self.COORDS, self.RISK, total_events=20))
         assert report.misses == [(4.0, 5.0, "event total", -12)]
 
     def test_a_total_already_passed_inside_the_table_is_found_after_the_loop(self):
         # three events before the last risk row, so the tail aims at none and reaches it
-        _, report = reconstruct_arm(DigitizedArm("A", self.COORDS, self.RISK, total_events=2))
+        _, report = reconstruct_arm(digitized_arm_of("A", self.COORDS, self.RISK, total_events=2))
         assert report.achieved_total_events == 3
         assert report.misses == [(4.0, 5.0, "event total", 1)]
 
     def test_a_missed_risk_row_names_its_interval(self):
         _, report = reconstruct_arm(
-            DigitizedArm("A", [(0.0, 1.0), (1.0, 0.0)], [(0.0, 10), (2.0, 5)])
+            digitized_arm_of("A", [(0.0, 1.0), (1.0, 0.0)], [(0.0, 10), (2.0, 5)])
         )
         assert report.to_json()["misses"] == [
             {"interval": [0.0, 2.0], "constraint": "risk row", "residual": -5}
         ]
 
     def test_misses_are_listed_in_walk_order(self):
-        arm = DigitizedArm("A", [(0.0, 1.0), (1.0, 0.5), (3.0, 0.0)], [(0.0, 10), (2.0, 8), (4.0, 3)], 20)
+        arm = digitized_arm_of("A", [(0.0, 1.0), (1.0, 0.5), (3.0, 0.0)], [(0.0, 10), (2.0, 8), (4.0, 3)], 20)
         _, report = reconstruct_arm(arm)
         assert report.misses == [
             (0.0, 2.0, "risk row", -3), (2.0, 4.0, "risk row", -3), (4.0, 4.0, "event total", -10)
@@ -275,7 +276,7 @@ def corpus_digitizations():
         coarse = [digitize_exact(arm, list(np.arange(0.0, top + 6.0, 6.0)), 0.01) for arm in dataset.arms]
         yield seed, tuple(digitize_study(dataset, pooled_risk=True))
         yield seed, tuple(coarse)
-        yield seed, tuple(DigitizedArm(a.label, a.coordinates, a.risk_table) for a in coarse)
+        yield seed, tuple(DigitizedArm(a.label, a.times, a.survivals, a.risk_times, a.risk_counts) for a in coarse)
 
 
 # SHA-256 of every dataset and report (misses and iterations included) that
@@ -296,7 +297,7 @@ def test_corpus_outputs_match_the_pinned_digest(tmp_path):
 
 class TestStudyLevel:
     def test_duplicate_labels_rejected(self):
-        arm = DigitizedArm("A", [(0.0, 1.0), (1.0, 0.5)], [(0.0, 4)])
+        arm = digitized_arm_of("A", [(0.0, 1.0), (1.0, 0.5)], [(0.0, 4)])
         with pytest.raises(ValueError, match="labels"):
             reconstruct_study((arm, arm))
 
@@ -322,8 +323,8 @@ class TestCsvLoading:
         coords = self.write(tmp_path / "c.csv", "time,survival\n0.0,1.0\n1.0,0.5\n")
         risk = self.write(tmp_path / "r.csv", "time,n_risk\n0,10\n2,4\n")
         arm = load_digitized_arm("A", coords, risk, total_events=5)
-        assert arm.coordinates == [(0.0, 1.0), (1.0, 0.5)]
-        assert arm.risk_table == [(0.0, 10), (2.0, 4)]
+        assert (arm.times, arm.survivals) == ([0.0, 1.0], [1.0, 0.5])
+        assert (arm.risk_times, arm.risk_counts) == ([0.0, 2.0], [10, 4])
         assert arm.total_events == 5
 
     def test_coordinate_header_checked(self, tmp_path):
@@ -369,8 +370,8 @@ class TestCsvLoading:
         risk = tmp_path / "r.csv"
         risk.write_bytes(b"\xef\xbb\xbftime,n_risk\r\n0,10\r\n")
         arm = load_digitized_arm("A", str(coords), str(risk))
-        assert arm.coordinates == [(0.0, 1.0), (1.0, 0.5)]
-        assert arm.risk_table == [(0.0, 10)]
+        assert (arm.times, arm.survivals) == ([0.0, 1.0], [1.0, 0.5])
+        assert (arm.risk_times, arm.risk_counts) == ([0.0], [10])
 
     def test_structural_error_names_both_files(self, tmp_path):
         coords = self.write(tmp_path / "c.csv", "time,survival\n0.0,1.0\n1.0,0.5\n")
