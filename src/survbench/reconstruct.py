@@ -182,9 +182,9 @@ def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
     """Rebuild one arm's observations from its digitized inputs.
 
     One walk goes over the risk intervals and then the tail past the last
-    row. In each, a pass spreads the censors evenly over the interval and
-    reads each click's drop in survival as events among those still at
-    risk. Inside the risk table the residual is the end-of-interval at-risk
+    row. In each, a pass spreads the censors evenly over the interval, but
+    places none once no one is left at risk, and reads each click's drop in
+    survival as events among those still at risk. Inside the risk table the residual is the end-of-interval at-risk
     count minus the published one; in the tail it is the interval's events
     minus what the published total leaves (none if no total was published).
     The next count adds the residual; a count tried before ends the search.
@@ -229,13 +229,13 @@ def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
         passes = 0
         while True:
             passes += 1
-            # walk the clicks once, with `placed` censors at t_start + (k + 1) * gap
-            placed = count if count > 0 else 0  # count < 0 only when n_start is
-            gap = (t_end - t_start) / (placed + 1)
+            # walk the clicks once, with `count` censors due at t_start + (k + 1) * gap; one is
+            # placed only while someone is at risk, so no pass takes more subjects than it has
+            gap = (t_end - t_start) / (count + 1)
             n, surv, k = n_start, surv_start, 0
             for i in range(lo, hi):
                 t = click_times[i]
-                while k < placed and t_start + (k + 1) * gap < t:
+                while k < count and n > 0 and t_start + (k + 1) * gap < t:
                     n -= 1
                     k += 1
                 if n <= 0 or surv <= 0.0:
@@ -250,6 +250,7 @@ def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
                         n -= d
                         event_times.append(t)
                         event_counts.append(d)
+            placed = k + min(count - k, n)  # and those due after the last click
             n -= placed - k
             if not tail:
                 diff = n - target
@@ -258,21 +259,19 @@ def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
             if diff == 0:
                 break
             if best is None or abs(diff) < abs(best[0]):  # the closest pass yet, with its events
-                best = diff, placed, n, surv, event_times[mark:], event_counts[mark:]
+                best = diff, gap, placed, n, surv, event_times[mark:], event_counts[mark:]
             next_count = min(max(count + diff, 0), n_start)
             if seen is None:
                 seen = set()
             seen.add(count)
             if next_count in seen or passes == ITERATION_CAP:
-                diff, placed, n, surv, event_times[mark:], event_counts[mark:] = best
+                diff, gap, placed, n, surv, event_times[mark:], event_counts[mark:] = best
                 misses.append((t_start, t_end, "event total" if tail else "risk row", diff))
                 break
             count = next_count
             del event_times[mark:], event_counts[mark:]  # the next pass appends the interval's events anew
         iterations_total += passes
-        if placed:
-            gap = (t_end - t_start) / (placed + 1)
-            censor_times += [t_start + (g + 1) * gap for g in range(placed)]
+        censor_times += [t_start + (g + 1) * gap for g in range(placed)]
         lo = hi
     # everyone still at risk leaves the study at the end of follow-up
     censor_times.extend([t_end_time] * n)

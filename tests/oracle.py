@@ -616,7 +616,7 @@ def pass_interval(clicks, censor_times: list[float], n_start: int, surv_start: f
     events: list[tuple[float, int]] = []
     k = 0
     for t, target in clicks:
-        while k < len(censor_times) and censor_times[k] < t:
+        while k < len(censor_times) and n > 0 and censor_times[k] < t:
             n -= 1
             k += 1
         if n <= 0 or surv <= 0.0:
@@ -628,8 +628,9 @@ def pass_interval(clicks, censor_times: list[float], n_start: int, surv_start: f
                 surv *= 1.0 - d / n
                 n -= d
                 events.append((t, d))
-    n -= len(censor_times) - k
-    return PassResult(events, list(censor_times), n, surv)
+    placed = k + min(len(censor_times) - k, n)  # a censor is placed only while someone is at risk
+    n -= placed - k
+    return PassResult(events, censor_times[:placed], n, surv)
 
 
 def reconcile(clicks, t_start, t_end, n_start, surv_start, censor_count, residual):

@@ -581,6 +581,23 @@ def test_bisected_reconstruction_matches_the_scanning_loop(inputs):
     assert json.dumps(got) == json.dumps(expected)
 
 
+@settings(deadline=None, max_examples=300)
+@given(digitized_inputs())
+# an event at 0.0 leaves one of two subjects at risk, and the tail's second pass has two censors due
+@example(([(0.0, 0.5), (1.0, 0.0)], [(0.0, 2)], 0, False))
+def test_reconstruction_keeps_the_subject_count_of_the_first_risk_row(inputs):
+    clicks, rows, total, drop_first = inputs
+    arm = digitized_arm_of("A", clicks, rows, total)
+    if drop_first:
+        arm.risk_times, arm.risk_counts = arm.risk_times[1:], arm.risk_counts[1:]
+    try:
+        rebuilt, report = reconstruct_arm(arm)
+    except InfeasibleCurveError:
+        return
+    assert len(rebuilt) == arm.risk_counts[0]
+    assert report.achieved_total_events <= arm.risk_counts[0]
+
+
 # digitized CSV texts: well-formed tables with a few odd or malformed lines
 # mixed in; many odd fields still parse ("1_0", " 2.5 ", -0.0, a quoted
 # number) and so reach the table rules instead of the row rules
