@@ -196,9 +196,6 @@ class CensoringDistribution:
     atom_times: np.ndarray
     atom_masses: np.ndarray
 
-    def cdf(self, t: float) -> float:
-        return float(np.sum(self.atom_masses[self.atom_times <= t]))
-
 
 def censoring_km(arm: ArmData) -> CensoringDistribution:
     curve = km_from_arrays(arm.times(), 1 - arm.statuses())
@@ -287,7 +284,6 @@ class ArmModel:
     censoring_fit: FittedDistribution | None = None
     event_kde: KdeDensity | None = None
     censoring_kde: KdeDensity | None = None
-    ghat: CensoringDistribution | None = None
     condboot: CondbootPlan | None = None
 
 
@@ -322,8 +318,7 @@ def build_model(engine: str, arm: ArmData) -> ArmModel:
     elif kind == "conditional-bootstrap":
         if events.size == 0:
             raise ModelBuildError(f"arm {arm.label!r}: no events to resample")
-        model.ghat = censoring_km(arm)
-        model.condboot = condboot_plan(arm, model.ghat)
+        model.condboot = condboot_plan(arm, censoring_km(arm))
     return model
 
 

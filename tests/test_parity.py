@@ -278,11 +278,9 @@ def test_conditional_bootstrap_matches_the_loop(columns, seed):
     if not columns[1].any():
         return  # no events to resample: build_model refuses the arm
     arm = arm_from_arrays("A", *columns)
-    model = build_model("condboot", arm)
+    model, ghat = build_model("condboot", arm), censoring_km(arm)
     out = conditional_bootstrap(model, len(arm), RandomStream(seed, 2))
-    expected = oracle.conditional_bootstrap(
-        arm, model.ghat.atom_times, model.ghat.atom_masses, RandomStream(seed, 2).generator
-    )
+    expected = oracle.conditional_bootstrap(arm, ghat.atom_times, ghat.atom_masses, RandomStream(seed, 2).generator)
     assert list(zip(out.times().tolist(), out.statuses().tolist())) == expected
 
 
@@ -301,10 +299,10 @@ def test_consecutive_conditional_bootstraps_match_the_loop(pairs, seed):
     # draws from one model and one generator: a call that changed the
     # model's arrays would show in the calls after it
     arm = arm_of(pairs)
-    model = build_model("condboot", arm)
+    model, ghat = build_model("condboot", arm), censoring_km(arm)
     gen, reference = RandomStream(seed, 2).generator, RandomStream(seed, 2).generator
     for _ in range(3):
-        expected = oracle.conditional_bootstrap(arm, model.ghat.atom_times, model.ghat.atom_masses, reference)
+        expected = oracle.conditional_bootstrap(arm, ghat.atom_times, ghat.atom_masses, reference)
         assert pairs_of(simulate(model, len(arm), gen)) == expected
     for array in vars(model.condboot).values():
         with pytest.raises(ValueError, match="read-only"):
