@@ -436,25 +436,6 @@ def _check_support(family: ParametricFamily, x: np.ndarray, what: str) -> None:
         raise SupportError(f"family {family.family_id} is supported on x > 0 only")
 
 
-def _scalar_or_array(values: np.ndarray, scalar_in: bool):
-    return float(values.reshape(())) if scalar_in else values
-
-
-def cdf(family: ParametricFamily, x) -> np.ndarray | float:
-    arr = np.asarray(x, dtype=float)
-    _check_support(family, arr, "x")
-    out = np.asarray(_cdf(family, arr), dtype=float)
-    return _scalar_or_array(out, arr.ndim == 0)
-
-
-def quantile(family: ParametricFamily, q) -> np.ndarray | float:
-    arr = np.asarray(q, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError("quantile levels must lie strictly inside (0, 1)")
-    out = np.asarray(_quantile(family, arr), dtype=float)
-    return _scalar_or_array(out, arr.ndim == 0)
-
-
 def sample(family: ParametricFamily, n: int, rng: RandomStream | np.random.Generator) -> np.ndarray:
     """Draw n values from the family, deterministically under a fixed stream.
 

@@ -1,5 +1,5 @@
 """Shared builders for the test suite: arms, synthetic studies, digitized
-inputs, and the curve and density reads only tests make."""
+inputs, and the curve and distribution reads only tests make."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from survbench.core import (
     arm_from_arrays,
     km_estimate,
 )
-from survbench.distributions import ParametricFamily, _check_support, _logpdf, _scalar_or_array
+from survbench.distributions import DomainError, ParametricFamily, _cdf, _check_support, _logpdf, _quantile
 from survbench.reconstruct import DigitizedArm
 
 
@@ -45,11 +45,30 @@ def survival_at(curve: KmCurve, time: float) -> float:
     return float(curve.survival[i - 1]) if i else 1.0
 
 
+def _scalar_or_array(values: np.ndarray, scalar_in: bool):
+    return float(values.reshape(())) if scalar_in else values
+
+
 def pdf(family: ParametricFamily, x) -> np.ndarray | float:
     """The family's density, with the support rule ``cdf`` applies."""
     arr = np.asarray(x, dtype=float)
     _check_support(family, arr, "x")
     return _scalar_or_array(np.exp(_logpdf(family, arr)), arr.ndim == 0)
+
+
+def cdf(family: ParametricFamily, x) -> np.ndarray | float:
+    """The family's distribution function at `x`, on its support."""
+    arr = np.asarray(x, dtype=float)
+    _check_support(family, arr, "x")
+    return _scalar_or_array(np.asarray(_cdf(family, arr), dtype=float), arr.ndim == 0)
+
+
+def quantile(family: ParametricFamily, q) -> np.ndarray | float:
+    """The family's quantile function at levels strictly inside (0, 1)."""
+    arr = np.asarray(q, dtype=float)
+    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
+        raise DomainError("quantile levels must lie strictly inside (0, 1)")
+    return _scalar_or_array(np.asarray(_quantile(family, arr), dtype=float), arr.ndim == 0)
 
 
 def synth_arm(

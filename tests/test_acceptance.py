@@ -19,7 +19,7 @@ from survbench.core import (
     km_estimate,
     median_survival,
 )
-from survbench.distributions import ParametricFamily, cdf, quantile, sample
+from survbench.distributions import ParametricFamily, sample
 from survbench.engines import ENGINE_KINDS, build_model, kde_fit, kde_sample, simulate
 from survbench.evaluate import (
     cox_hazard_ratio,
@@ -33,7 +33,7 @@ from survbench.evaluate import (
 from survbench.harness import BenchmarkConfig, StudyRecord, run_benchmark, runtime_stats
 from survbench.reconstruct import reconstruct_study
 
-from helpers import arm_of, corpus_study, digitize_exact, digitize_study, pairs_of, pdf, synth_study
+from helpers import arm_of, cdf, corpus_study, digitize_exact, digitize_study, pairs_of, pdf, quantile, synth_study
 
 
 def verdict(

@@ -23,17 +23,15 @@ from survbench.distributions import (
     ParametricFamily,
     SelectionError,
     SupportError,
-    cdf,
     cvm_test,
     fit_candidates,
     fit_mle,
-    quantile,
     sample,
     select_distribution,
 )
 from survbench.distributions import _cvm_cdf_asymptotic
 
-from helpers import pdf
+from helpers import cdf, pdf, quantile
 
 # family_id, parameters, probe x, pdf(x), cdf(x), quantile(0.9)
 ANCHORS = [

@@ -8,6 +8,13 @@ another module, or in its own module beyond its definition, a benchmark
 script, or a Python example in README.md. A use inside a definition counts
 only once that definition is reached itself, and annotations and a
 function's own local names are not uses.
+
+The scan matches names, not objects: any attribute or name that runs
+reaches every definition it spells. So a public name that shares its
+spelling with a reached one cannot be caught. ``distributions.cdf`` and
+``quantile`` were only called by tests, yet looked reached through
+``np.quantile`` and the registry's ``_Family.cdf`` and ``.quantile``
+fields; they moved into ``tests/helpers.py`` when that was found.
 """
 
 import ast
