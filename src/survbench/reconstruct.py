@@ -182,12 +182,13 @@ def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
     """Rebuild one arm's observations from its digitized inputs.
 
     One walk goes over the risk intervals and then the tail past the last
-    row. In each, a pass spreads the censors evenly over the interval, but
-    places none once no one is left at risk, and reads each click's drop in
-    survival as events among those still at risk. Inside the risk table the residual is the end-of-interval at-risk
-    count minus the published one; in the tail it is the interval's events
-    minus what the published total leaves (none if no total was published).
-    The next count adds the residual; a count tried before ends the search.
+    row. In each, a pass spreads the censors evenly over the interval,
+    placing none once no one is left at risk, and reads each click's drop
+    in survival as events among those still at risk. Inside the risk table
+    the residual is the end-of-interval at-risk count minus the published
+    one; in the tail it is the interval's events minus what the published
+    total leaves (none if no total was published). The next count adds the
+    residual; a count tried before ends the search.
     When no count closes the gap (the digitized drops alone already
     overshoot it), the closest pass and its residual are kept: the conflict
     is digitization noise, not an impossible input.
@@ -250,7 +251,7 @@ def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
                         n -= d
                         event_times.append(t)
                         event_counts.append(d)
-            placed = k + min(count - k, n)  # and those due after the last click
+            placed = k + min(count - k, n)  # with those due after the clicks walked, while any are at risk
             n -= placed - k
             if not tail:
                 diff = n - target

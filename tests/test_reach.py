@@ -9,12 +9,12 @@ script, or a Python example in README.md. A use inside a definition counts
 only once that definition is reached itself, and annotations and a
 function's own local names are not uses.
 
-The scan matches names, not objects: any attribute or name that runs
-reaches every definition it spells. So a public name that shares its
-spelling with a reached one cannot be caught. ``distributions.cdf`` and
-``quantile`` were only called by tests, yet looked reached through
-``np.quantile`` and the registry's ``_Family.cdf`` and ``.quantile``
-fields; they moved into ``tests/helpers.py`` when that was found.
+The scan matches names, not objects: a name or attribute that runs
+reaches every definition spelt the same, so a public name that shares its
+spelling with a reached one is never flagged. A public ``cdf`` or
+``quantile`` in ``distributions`` would look reached through
+``np.quantile`` and the family registry's ``cdf`` and ``quantile``
+fields, even if only tests called it.
 """
 
 import ast
