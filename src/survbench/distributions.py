@@ -150,7 +150,7 @@ def _mixture_cdf(x, wshape, wscale, nmean, nsd):
 
 
 def _mixture_quantile_scalar(p: float, params: tuple[float, ...]) -> float:
-    from scipy import optimize  # imported where used: it is large, and only fits and mixture quantiles need it
+    from scipy import optimize  # imported where used: it is large, and only Gompertz starts and mixture quantiles need it
     wshape, wscale, nmean, nsd = params
     lo = min(nmean + nsd * ndtri(p), 0.0) - 1.0
     hi = max(nmean + nsd * ndtri(p), wscale * (-math.log1p(-p)) ** (1.0 / wshape)) + 1.0
@@ -506,17 +506,101 @@ def _loglik(family_id: str, params: tuple[float, ...], x: np.ndarray) -> float:
     return total if math.isfinite(total) else -np.inf
 
 
+class _EvaluationCap(Exception):
+    """An evaluation past the cap; the Nelder-Mead iteration it falls in is dropped."""
+
+
+def _nelder_mead(objective: Callable[[list[float]], float], y0: list[float]) -> tuple[list[float], bool]:
+    """Minimise `objective` from `y0` with the steps of scipy 1.17.1's non-adaptive Nelder-Mead.
+
+    The simplex, coefficients, vertex order (``np.argsort`` of the values,
+    so ties break as scipy breaks them), stopping tests and caps are
+    scipy's, computed on Python floats. Returns the best vertex and whether
+    neither the iteration nor the evaluation cap was reached.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    n = len(y0)
+    max_evaluations = 4 * MAX_FIT_ITERATIONS
+    evaluations = 0
+
+    def evaluate(y: list[float]) -> float:
+        nonlocal evaluations
+        if evaluations >= max_evaluations:
+            raise _EvaluationCap
+        evaluations += 1
+        return objective(y)
+
+    sim = [list(y0)]
+    for k in range(n):
+        y = list(y0)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = evaluate(sim[k])
+    except _EvaluationCap:
+        pass
+    for _ in range(2):  # scipy sorts twice before the first iteration
+        order = np.array(fsim).argsort().tolist()
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+
+    iterations = 1
+    while evaluations < max_evaluations and iterations < MAX_FIT_ITERATIONS:
+        try:
+            best = sim[0]
+            if all(abs(v - b) <= FIT_TOLERANCE for y in sim[1:] for v, b in zip(y, best)) and all(
+                abs(fsim[0] - f) <= FIT_TOLERANCE for f in fsim[1:]
+            ):
+                break
+            xbar = best
+            for y in sim[1:-1]:
+                xbar = [c + v for c, v in zip(xbar, y)]
+            xbar = [c / n for c in xbar]
+            worst = sim[-1]
+            xr = [(1 + rho) * c - rho * w for c, w in zip(xbar, worst)]
+            fxr = evaluate(xr)
+            if fxr < fsim[0]:
+                xe = [(1 + rho * chi) * c - rho * chi * w for c, w in zip(xbar, worst)]
+                fxe = evaluate(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = [(1 + psi * rho) * c - psi * rho * w for c, w in zip(xbar, worst)]
+                    fxc = evaluate(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:  # inside contraction
+                    xcc = [(1 - psi) * c + psi * w for c, w in zip(xbar, worst)]
+                    fxcc = evaluate(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = [b + sigma * (v - b) for b, v in zip(best, sim[j])]
+                        fsim[j] = evaluate(sim[j])
+            iterations += 1
+        except _EvaluationCap:
+            pass
+        order = np.array(fsim).argsort().tolist()
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+    return sim[0], evaluations < max_evaluations and iterations < MAX_FIT_ITERATIONS
+
+
 def _fit_nelder_mead(
     family_id: str, x: np.ndarray, start: tuple[float, ...]
 ) -> tuple[tuple[float, ...], bool]:
-    from scipy import optimize  # see _mixture_quantile_scalar
     spec = _FAMILIES[family_id]
     positive, logpdf = spec.positive, spec.logpdf
 
-    def to_natural(y: np.ndarray) -> tuple[float, ...]:
-        return tuple([math.exp(min(v, 700.0)) if pos else v for v, pos in zip(y.tolist(), positive)])
+    def to_natural(y: list[float]) -> tuple[float, ...]:
+        return tuple([math.exp(min(v, 700.0)) if pos else v for v, pos in zip(y, positive)])
 
-    def objective(y: np.ndarray) -> float:
+    def objective(y: list[float]) -> float:
         params = to_natural(y)
         # the domain rule of ParametricFamily, without building one per evaluation
         if not all(math.isfinite(v) and (v > 0.0 or not pos) for v, pos in zip(params, positive)):
@@ -524,20 +608,10 @@ def _fit_nelder_mead(
         total = float(logpdf(x, *params).sum())
         return -total if math.isfinite(total) else 1e300
 
-    y0 = np.array([math.log(s) if pos else s for s, pos in zip(start, positive)])
+    y0 = [math.log(s) if pos else float(s) for s, pos in zip(start, positive)]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        res = optimize.minimize(
-            objective,
-            y0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": MAX_FIT_ITERATIONS,
-                "maxfev": 4 * MAX_FIT_ITERATIONS,
-                "xatol": FIT_TOLERANCE,
-                "fatol": FIT_TOLERANCE,
-            },
-        )
-    return to_natural(res.x), bool(res.success)
+        y, converged = _nelder_mead(objective, y0)
+    return to_natural(y), converged
 
 
 def fit_mle(family_id: str, sample_values) -> FittedDistribution:
