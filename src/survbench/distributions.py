@@ -533,7 +533,7 @@ def _nelder_mead(objective: Callable[[list[float]], float], y0: list[float]) -> 
     sim = [list(y0)]
     for k in range(n):
         y = list(y0)
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
         sim.append(y)
     fsim = [math.inf] * (n + 1)
     try:
@@ -570,16 +570,14 @@ def _nelder_mead(objective: Callable[[list[float]], float], y0: list[float]) -> 
                 if fxr < fsim[-1]:  # outside contraction
                     xc = [(1 + psi * rho) * c - psi * rho * w for c, w in zip(xbar, worst)]
                     fxc = evaluate(xc)
-                    shrink = not fxc <= fxr
-                    if not shrink:
-                        sim[-1], fsim[-1] = xc, fxc
+                    keep = fxc <= fxr
                 else:  # inside contraction
-                    xcc = [(1 - psi) * c + psi * w for c, w in zip(xbar, worst)]
-                    fxcc = evaluate(xcc)
-                    shrink = not fxcc < fsim[-1]
-                    if not shrink:
-                        sim[-1], fsim[-1] = xcc, fxcc
-                if shrink:
+                    xc = [(1 - psi) * c + psi * w for c, w in zip(xbar, worst)]
+                    fxc = evaluate(xc)
+                    keep = fxc < fsim[-1]
+                if keep:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
                     for j in range(1, n + 1):
                         sim[j] = [b + sigma * (v - b) for b, v in zip(best, sim[j])]
                         fsim[j] = evaluate(sim[j])
