@@ -300,7 +300,8 @@ def km_estimate(arm: ArmData) -> KmCurve:
 def median_survival(curve: KmCurve) -> float | None:
     """Smallest step time where survival falls to 0.5 or below, if any."""
     reached = (curve.survival <= 0.5).nonzero()[0]
-    return float(curve.time[reached[0]]) if reached.size else None
+    # +0.0: which signed zero heads a run of tied zero times depends on the subjects' order
+    return float(curve.time[reached[0]]) + 0.0 if reached.size else None
 
 
 @dataclass

@@ -156,7 +156,7 @@ def build_event_table(dataset: StudyDataset) -> _EventTable:
 def median_survival(steps) -> float | None:
     for t, _, _, surv in steps:
         if surv <= 0.5:
-            return t
+            return t + 0.0  # 0.0 for either signed zero, as the package reports it
     return None
 
 

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from survbench import core, evaluate, harness, reconstruct
+from survbench import core, distributions, evaluate, harness, reconstruct
 from survbench.core import (
     ArmData,
     ParseError,
@@ -36,7 +36,7 @@ from survbench.core import (
     median_survival,
     store_dataset,
 )
-from survbench.distributions import fit_candidates
+from survbench.distributions import FIT_TOLERANCE, MAX_FIT_ITERATIONS, FitFailureError, fit_candidates
 from survbench.engines import (
     build_model,
     case_resample,
@@ -234,6 +234,56 @@ def test_shared_curves_match_a_fresh_build_per_call(dataset):
         _same_columns(km_estimate(arm), km_from_arrays(arm.times(), arm.statuses()), _KM_COLUMNS)
 
 
+# ---------------------------------------------------------------------------
+# definitions that hold with no oracle: a study is a set of subjects, and a
+# power of two scales every time exactly, so the risk sets do not change
+
+
+def _study_of(dataset, times_and_statuses):
+    return StudyDataset(
+        tuple(arm_from_arrays(arm.label, *times_and_statuses(arm)) for arm in dataset.arms)
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(studies(), st.integers(0, 2**32 - 1))
+@example(_study([(-0.0, 1), (0.0, 0), (1.0, 1)], [(0.0, 1), (-0.0, 0), (2.0, 0)]), 7)  # signed zeros
+@example(_study([(0.0, 1)] * 3 + [(1.0, 0)] * 4, [(1.0, 1)] * 2 + [(0.0, 0)] * 5), 3)  # heavy ties
+def test_permuting_subjects_within_an_arm_changes_nothing(dataset, seed):
+    gen = np.random.default_rng(seed)
+
+    def permuted(arm):
+        order = gen.permutation(arm.times().size)
+        return arm.times()[order], arm.statuses()[order]
+
+    shuffled = _study_of(dataset, permuted)
+    assert json.dumps(evaluate_dataset(shuffled).to_json()) == json.dumps(evaluate_dataset(dataset).to_json())
+
+
+def _times_two(value):
+    return None if value is None else 2.0 * value
+
+
+@settings(deadline=None, max_examples=200)
+@given(studies())
+@example(_study([(1.0, 0), (2.0, 0)], [(0.0, 0), (3.0, 0)]))  # no events
+@example(_study([(0.0, 0), (2.0, 1), (3.0, 1)], [(0.0, 1), (1.0, 1), (1.5, 1)]))  # tau = 0
+@example(_study([(0.5, 1), (0.5, 1), (1.5, 0)], [(0.5, 1), (2.5, 1), (2.5, 0)]))  # ties across arms
+@example(_study([(1e-200, 1), (1.5e-200, 0), (0.5, 1)], [(0.0, 1), (2e-200, 1), (1.0, 0)]))  # tiny times
+def test_doubling_every_time_doubles_only_the_time_statistics(dataset):
+    base = evaluate_dataset(dataset)
+    doubled = evaluate_dataset(_study_of(dataset, lambda arm: (2.0 * arm.times(), arm.statuses())))
+    # repr tells -0.0 from 0.0, so these are bit-for-bit comparisons
+    same = ("logrank_statistic", "logrank_p", "hazard_ratio", "tie_ratio")
+    assert [repr(getattr(doubled, name)) for name in same] == [repr(getattr(base, name)) for name in same]
+    assert repr(doubled.medians) == repr({label: _times_two(m) for label, m in base.medians.items()})
+    assert repr(doubled.tau) == repr(2.0 * base.tau)
+    # the area sums products of survival and time differences; one that falls
+    # below the normal range keeps fewer bits, and its double then keeps one more
+    if all(t == 0.0 or t >= 1e-200 for arm in dataset.arms for t in arm.times().tolist()):
+        assert repr(doubled.rmstd) == repr(_times_two(base.rmstd))
+
+
 def _fitted(fit, sample):
     try:
         fits, failures = fit(sample)
@@ -260,6 +310,94 @@ _fit_value = (
 @example([1e-170, 0.25, 3.0, 4e5, 7.0, 12.5])  # a wide spread of positive values
 def test_fitted_candidates_match_the_checked_objective(sample):
     assert _fitted(fit_candidates, sample) == _fitted(oracle.fit_candidates, sample)
+
+
+_NELDER_MEAD_FAMILIES = [family_id for family_id, spec in distributions._FAMILIES.items() if spec.fit is None]
+
+
+def _nelder_mead_start(family_id, x):
+    """The start fit_mle hands to Nelder-Mead, or None where it fits nothing."""
+    spec = distributions._FAMILIES[family_id]
+    if x.min() == x.max() or (spec.positive_support and x.min() <= 0.0):
+        return None
+    try:
+        start = spec.start(x)
+    except (FitFailureError, ArithmeticError):
+        return None
+    return start if math.isfinite(distributions._loglik(family_id, start, x)) else None
+
+
+def _nelder_mead_outcome(fit, family_id, x, start):
+    try:
+        params, converged = fit(family_id, x, start)
+    except (ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr(params), converged
+
+
+# Gompertz on a sample whose start puts the largest point's term just under
+# the float maximum: both other vertices of the first simplex overflow and
+# take the 1e300 penalty, so argsort breaks a tie among the simplex values
+_PENALTY_TIE = [round(0.02 + 0.0055 * i, 4) for i in range(15)] + [round(0.102 + 0.014 * i, 4) for i in range(14)]
+_PENALTY_TIE.append(243.148049)
+
+
+# lowering the caps reaches the iteration cap; the third example reaches
+# the evaluation cap in the middle of an iteration at every cap. At
+# tolerance 0 a fit stops only once the simplex has collapsed to one point,
+# which tells "<=" from "<" in the stopping tests. Counting the objective's
+# calls catches an evaluation too many or too few.
+@pytest.mark.parametrize(
+    "max_iterations, tolerance",
+    [(MAX_FIT_ITERATIONS, FIT_TOLERANCE), (3, FIT_TOLERANCE), (25, FIT_TOLERANCE), (MAX_FIT_ITERATIONS, 0.0)],
+)
+@settings(deadline=None, max_examples=40)
+@given(st.lists(_fit_value, min_size=2, max_size=30))
+@example([0.0, 0.0, 1.0, 1.5, 2.0, 2.0, 3.5])  # zeros and ties
+@example([1e-170, 0.25, 3.0, 4e5, 7.0, 12.5])  # a wide spread of positive values
+@example([0.5, 1.0, 8.798961376433928, 8.798961376433928])  # the mixture shrinks until the cap
+@example(_PENALTY_TIE)
+def test_nelder_mead_takes_scipys_steps(max_iterations, tolerance, sample):
+    x = np.asarray(sample, dtype=float)
+    calls = {"ours": 0, "scipy": 0}
+    nelder_mead, loglik = distributions._nelder_mead, oracle.loglik
+
+    def counted_nelder_mead(objective, y0):
+        def counted(y):
+            calls["ours"] += 1
+            return objective(y)
+
+        return nelder_mead(counted, y0)
+
+    def counted_loglik(*args):
+        calls["scipy"] += 1
+        return loglik(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (distributions, oracle):  # the oracle binds both constants at import
+            patch.setattr(module, "MAX_FIT_ITERATIONS", max_iterations)
+            patch.setattr(module, "FIT_TOLERANCE", tolerance)
+        patch.setattr(distributions, "_nelder_mead", counted_nelder_mead)
+        patch.setattr(oracle, "loglik", counted_loglik)  # once per evaluation of scipy's objective
+        for family_id in _NELDER_MEAD_FAMILIES:
+            start = _nelder_mead_start(family_id, x)
+            if start is not None:
+                ours = _nelder_mead_outcome(distributions._fit_nelder_mead, family_id, x, start)
+                scipys = _nelder_mead_outcome(oracle.fit_nelder_mead, family_id, x, start)
+                assert (ours, calls["ours"]) == (scipys, calls["scipy"]), family_id
+
+
+def test_the_tie_example_puts_two_first_vertices_at_the_penalty(monkeypatch):
+    values = []
+    nelder_mead = distributions._nelder_mead
+
+    def recording(objective, y0):
+        return nelder_mead(lambda y: values.append(objective(y)) or values[-1], y0)
+
+    monkeypatch.setattr(distributions, "_nelder_mead", recording)
+    x = np.asarray(_PENALTY_TIE)
+    distributions._fit_nelder_mead("gompertz", x, _nelder_mead_start("gompertz", x))
+    assert math.isfinite(values[0]) and values[1:3] == [1e300, 1e300]
 
 
 @settings(deadline=None)
