@@ -150,7 +150,7 @@ def _mixture_cdf(x, wshape, wscale, nmean, nsd):
 
 
 def _mixture_quantile_scalar(p: float, params: tuple[float, ...]) -> float:
-    from scipy import optimize  # imported where used: it is large, and only Gompertz starts and mixture quantiles need it
+    from scipy import optimize  # imported where used: it is large, and only this and the Gompertz start need it
     wshape, wscale, nmean, nsd = params
     lo = min(nmean + nsd * ndtri(p), 0.0) - 1.0
     hi = max(nmean + nsd * ndtri(p), wscale * (-math.log1p(-p)) ** (1.0 / wshape)) + 1.0

@@ -338,8 +338,9 @@ def _nelder_mead_outcome(fit, family_id, x, start):
 # Gompertz on a sample whose start puts the largest point's term just under
 # the float maximum: both other vertices of the first simplex overflow and
 # take the 1e300 penalty, so argsort breaks a tie among the simplex values
-_PENALTY_TIE = [round(0.02 + 0.0055 * i, 4) for i in range(15)] + [round(0.102 + 0.014 * i, 4) for i in range(14)]
-_PENALTY_TIE.append(243.148049)
+_PENALTY_TIE = (
+    [round(0.02 + 0.0055 * i, 4) for i in range(15)] + [round(0.102 + 0.014 * i, 4) for i in range(14)] + [243.148049]
+)
 
 
 # lowering the caps reaches the iteration cap; the third example reaches
