@@ -149,8 +149,74 @@ def _mixture_cdf(x, wshape, wscale, nmean, nsd):
     return MIXTURE_WEIBULL_WEIGHT * weib + MIXTURE_NORMAL_WEIGHT * ndtr((x - nmean) / nsd)
 
 
+def _ieee_div(a: float, b: float) -> float:
+    """`a / b` with the IEEE 754 result that C gives where Python raises ZeroDivisionError."""
+    if b != 0.0:
+        return a / b
+    if a == 0.0 or math.isnan(a):
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12) -> float:
+    """A root of `f` in [a, b] by the steps of scipy 1.17.1's `optimize.brentq` (Brent 1973, ch. 4).
+
+    A port of scipy's brentq.c on Python floats, with its relative tolerance
+    (4 eps), its 100-iteration cap and IEEE division. Raises ValueError when
+    f(a) and f(b) have the same sign or `f` returns NaN, and RuntimeError
+    when the cap is reached.
+    """
+    rtol = 4.0 * math.ulp(1.0)
+
+    def evaluate(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    def negative(v: float) -> bool:  # C's signbit
+        return math.copysign(1.0, v) < 0.0
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = evaluate(xpre), evaluate(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # the end with the smaller |f| becomes xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.nan  # a bisection unless interpolation proposes a step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = _ieee_div(-fcur * (xcur - xpre), fcur - fpre)
+            else:  # extrapolate
+                dpre = _ieee_div(fpre - fcur, xpre - xcur)
+                dblk = _ieee_div(fblk - fcur, xblk - xcur)
+                stry = _ieee_div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+        limit = abs(spre) if abs(spre) < 3 * abs(sbis) - delta else 3 * abs(sbis) - delta  # C's MIN
+        if 2 * abs(stry) < limit:  # good short step
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = evaluate(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations.")
+
+
 def _mixture_quantile_scalar(p: float, params: tuple[float, ...]) -> float:
-    from scipy import optimize  # imported where used: it is large, and only this and the Gompertz start need it
     wshape, wscale, nmean, nsd = params
     lo = min(nmean + nsd * ndtri(p), 0.0) - 1.0
     hi = max(nmean + nsd * ndtri(p), wscale * (-math.log1p(-p)) ** (1.0 / wshape)) + 1.0
@@ -158,7 +224,7 @@ def _mixture_quantile_scalar(p: float, params: tuple[float, ...]) -> float:
         lo -= 2.0 * (hi - lo)
     while _mixture_cdf(hi, *params) < p:
         hi += 2.0 * (hi - lo)
-    return float(optimize.brentq(lambda t: _mixture_cdf(t, *params) - p, lo, hi, xtol=1e-12))
+    return _brentq(lambda t: float(_mixture_cdf(t, *params) - p), lo, hi, xtol=1e-12)
 
 
 def _mixture_draw(gen: np.random.Generator, n: int, wshape, wscale, nmean, nsd) -> np.ndarray:
@@ -213,13 +279,11 @@ def _gompertz_start(x: np.ndarray) -> tuple[float, float]:
     if m <= 0.0 or q <= m or q / m >= ratio:
         a = 1e-4 / max(float(np.mean(x)), 1e-12)
     else:
-        from scipy import optimize  # see _mixture_quantile_scalar
-
         def gap(a_try: float) -> float:
             return math.expm1(a_try * q) / math.expm1(a_try * m) - ratio
 
         lo, hi = 1e-8 / m, 50.0 / m
-        a = float(optimize.brentq(gap, lo, hi)) if gap(lo) < 0.0 < gap(hi) else 1e-4 / m
+        a = _brentq(gap, lo, hi) if gap(lo) < 0.0 < gap(hi) else 1e-4 / m
     b = a * math.log(2.0) / math.expm1(a * m) if a * m < 700 else 1.0 / m
     return max(a, 1e-12), max(b, 1e-12)
 

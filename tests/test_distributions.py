@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from survbench import distributions
 from survbench.core import RandomStream
 from survbench.distributions import (
     CANONICAL_FAMILIES,
@@ -414,10 +415,42 @@ def run_with_src(code: str) -> str:
 
 
 def test_importing_the_package_leaves_out_scipy_optimize():
-    # reading, reconstructing and resampling never fit a family; only fitting loads the optimizer
+    # no submodule imports the optimizer at load time
     modules = ("core", "distributions", "engines", "evaluate", "harness", "reconstruct")
     imports = ", ".join(f"survbench.{name}" for name in modules)
     assert run_with_src(f"import sys, {imports}; print('scipy.optimize' in sys.modules)") == "False"
+
+
+# median 2 and 90th percentile 2.8 lie close enough for the Gompertz start to search for a root
+_GUARD_SAMPLE = np.linspace(1.0, 3.0, 30).tolist()
+
+
+def test_the_gompertz_start_of_the_guard_sample_searches_for_a_root(monkeypatch):
+    searches = []
+    brentq = distributions._brentq
+    monkeypatch.setattr(distributions, "_brentq", lambda *args, **kw: searches.append(args) or brentq(*args, **kw))
+    select_distribution(_GUARD_SAMPLE)
+    assert len(searches) == 1
+
+
+def test_fitting_and_mixture_quantiles_leave_out_scipy_optimize():
+    # every family fits, and a mixture quantile inverts, with the package's own loops
+    tests = os.path.dirname(os.path.abspath(__file__))
+    code = f"""
+import sys
+sys.path.insert(0, {tests!r})
+import numpy as np
+from helpers import quantile
+from survbench.core import arm_from_arrays
+from survbench.distributions import ParametricFamily, select_distribution
+from survbench.engines import build_model
+select_distribution({_GUARD_SAMPLE!r})
+times = np.linspace(0.5, 12.0, 40)
+build_model("parametric", arm_from_arrays("A", times, (np.arange(40) % 3 != 0).astype(int)))
+quantile(ParametricFamily("weibull-normal-mixture", (2.0, 10.0, 20.0, 4.0)), 0.3)
+print('scipy.optimize' in sys.modules)
+"""
+    assert run_with_src(code) == "False"
 
 
 def test_reading_and_reconstructing_leave_out_scipy():

@@ -153,6 +153,29 @@ class TestLogrank:
         with pytest.raises(DegenerateTestError):
             logrank_test(ds)
 
+    def test_six_subject_study_against_its_two_by_two_tables(self):
+        # A: events at 1 and 3, censored at 4; B: events at 2 and 3, censored at 5
+        ds = study([(1.0, 1), (3.0, 1), (4.0, 0)], [(2.0, 1), (3.0, 1), (5.0, 0)])
+        # (at risk in A, at risk in B, events in A, events in B) at each event time
+        tables = [
+            (3, 3, 1, 0),  # t = 1
+            (2, 3, 0, 1),  # t = 2
+            (2, 2, 1, 1),  # t = 3, one event in each arm
+        ]
+        # O - E of arm A, and the hypergeometric variance d n1 n0 (n - d) / (n^2 (n - 1))
+        o_minus_e = sum(d1 - (d1 + d0) * n1 / (n1 + n0) for n1, n0, d1, d0 in tables)
+        variance = sum(
+            (d1 + d0) * n1 * n0 * (n1 + n0 - d1 - d0) / ((n1 + n0) ** 2 * (n1 + n0 - 1)) for n1, n0, d1, d0 in tables
+        )
+        # 2 - (1/2 + 2/5 + 1) = 1/10 and 1/4 + 6/25 + 1/3 = 247/300
+        assert o_minus_e == pytest.approx(1.0 / 10.0, rel=1e-14)
+        assert variance == pytest.approx(247.0 / 300.0, rel=1e-14)
+        res = logrank_test(ds)
+        assert res.statistic == pytest.approx(o_minus_e**2 / variance, rel=1e-12)
+        assert res.statistic == pytest.approx(3.0 / 247.0, rel=1e-12)
+        # chi-square upper tail with one degree of freedom
+        assert res.p_value == pytest.approx(math.erfc(math.sqrt(o_minus_e**2 / variance / 2.0)), rel=1e-12)
+
     def test_p_value_is_chi_square_upper_tail(self):
         res = logrank_test(FIXTURE)
         from scipy.special import erfc
