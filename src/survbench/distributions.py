@@ -11,18 +11,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import (
-    digamma,
-    gammainc,
-    gammaincc,
-    gammainccinv,
-    gammaincinv,
-    gammaln,
-    kve,
-    ndtr,
-    ndtri,
-    polygamma,
-)
+import scipy
 
 from .core import RandomStream, as_generator
 
@@ -146,7 +135,7 @@ def _mixture_logpdf(x, wshape, wscale, nmean, nsd):
 def _mixture_cdf(x, wshape, wscale, nmean, nsd):
     x = np.asarray(x, dtype=float)
     weib = np.where(x > 0.0, -np.expm1(-((np.maximum(x, 0.0) / wscale) ** wshape)), 0.0)
-    return MIXTURE_WEIBULL_WEIGHT * weib + MIXTURE_NORMAL_WEIGHT * ndtr((x - nmean) / nsd)
+    return MIXTURE_WEIBULL_WEIGHT * weib + MIXTURE_NORMAL_WEIGHT * scipy.special.ndtr((x - nmean) / nsd)
 
 
 def _ieee_div(a: float, b: float) -> float:
@@ -218,8 +207,8 @@ def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12
 
 def _mixture_quantile_scalar(p: float, params: tuple[float, ...]) -> float:
     wshape, wscale, nmean, nsd = params
-    lo = min(nmean + nsd * ndtri(p), 0.0) - 1.0
-    hi = max(nmean + nsd * ndtri(p), wscale * (-math.log1p(-p)) ** (1.0 / wshape)) + 1.0
+    lo = min(nmean + nsd * scipy.special.ndtri(p), 0.0) - 1.0
+    hi = max(nmean + nsd * scipy.special.ndtri(p), wscale * (-math.log1p(-p)) ** (1.0 / wshape)) + 1.0
     while _mixture_cdf(lo, *params) > p:
         lo -= 2.0 * (hi - lo)
     while _mixture_cdf(hi, *params) < p:
@@ -330,13 +319,13 @@ def _fit_inverse_gamma(x: np.ndarray, start: tuple[float, float]) -> tuple[tuple
         raise FitFailureError("inverse-gamma score has no root for this sample")
 
     def score(a: float) -> float:
-        return math.log(a) - float(digamma(a)) - rhs
+        return math.log(a) - float(scipy.special.digamma(a)) - rhs
 
     alpha = start[0]
     g = score(alpha)
     converged = False
     for _ in range(MAX_FIT_ITERATIONS):
-        slope = 1.0 / alpha - float(polygamma(1, alpha))
+        slope = 1.0 / alpha - float(scipy.special.polygamma(1, alpha))
         step = g / slope
         new_alpha = alpha - step
         for _ in range(60):
@@ -396,25 +385,25 @@ _FAMILIES: dict[str, _Family] = {
     ),
     "gamma": _Family(
         ("shape", "rate"), (True, True), True,
-        logpdf=lambda x, a, b: a * math.log(b) + (a - 1.0) * np.log(x) - b * x - gammaln(a),
-        cdf=lambda x, a, b: gammainc(a, b * x),
-        quantile=lambda q, a, b: gammaincinv(a, q) / b,
+        logpdf=lambda x, a, b: a * math.log(b) + (a - 1.0) * np.log(x) - b * x - scipy.special.gammaln(a),
+        cdf=lambda x, a, b: scipy.special.gammainc(a, b * x),
+        quantile=lambda q, a, b: scipy.special.gammaincinv(a, q) / b,
         start=_gamma_start,
         draw=lambda gen, n, a, b: gen.gamma(a, 1.0, size=n) / b,
     ),
     "log-normal": _Family(
         ("meanlog", "sdlog"), (False, True), True,
         logpdf=lambda x, m, s: _norm_logpdf(np.log(x), m, s) - np.log(x),
-        cdf=lambda x, m, s: ndtr((np.log(x) - m) / s),
-        quantile=lambda q, m, s: np.exp(m + s * ndtri(q)),
+        cdf=lambda x, m, s: scipy.special.ndtr((np.log(x) - m) / s),
+        quantile=lambda q, m, s: np.exp(m + s * scipy.special.ndtri(q)),
         start=lambda x: (float(np.mean(np.log(x))), max(float(np.std(np.log(x))), 1e-9)),
         draw=lambda gen, n, m, s: np.exp(m + s * gen.standard_normal(n)),
     ),
     "inverse-gamma": _Family(
         ("shape", "rate"), (True, True), True,
-        logpdf=lambda x, a, b: a * math.log(b) - gammaln(a) - (a + 1.0) * np.log(x) - b / x,
-        cdf=lambda x, a, b: gammaincc(a, b / x),
-        quantile=lambda q, a, b: b / gammainccinv(a, q),
+        logpdf=lambda x, a, b: a * math.log(b) - scipy.special.gammaln(a) - (a + 1.0) * np.log(x) - b / x,
+        cdf=lambda x, a, b: scipy.special.gammaincc(a, b / x),
+        quantile=lambda q, a, b: b / scipy.special.gammainccinv(a, q),
         start=_inverse_gamma_start,
         draw=lambda gen, n, a, b: b / gen.gamma(a, 1.0, size=n),
         fit=_fit_inverse_gamma,
@@ -436,8 +425,8 @@ _FAMILIES: dict[str, _Family] = {
     "normal": _Family(
         ("mean", "sd"), (False, True), False,
         logpdf=_norm_logpdf,
-        cdf=lambda x, m, s: ndtr((x - m) / s),
-        quantile=lambda q, m, s: m + s * ndtri(q),
+        cdf=lambda x, m, s: scipy.special.ndtr((x - m) / s),
+        quantile=lambda q, m, s: m + s * scipy.special.ndtri(q),
         start=_normal_start,
         draw=lambda gen, n, m, s: m + s * gen.standard_normal(n),
     ),
@@ -530,11 +519,11 @@ def _cvm_cdf_asymptotic(w2: float) -> float:
         q = y * y / (16.0 * w2)
         # kve = exp(q) * kv keeps the product stable when q is large
         term = (
-            math.exp(gammaln(k + 0.5) - gammaln(k + 1))
+            math.exp(scipy.special.gammaln(k + 0.5) - scipy.special.gammaln(k + 1))
             / (math.pi**1.5 * math.sqrt(w2))
             * math.sqrt(y)
             * math.exp(-2.0 * q)
-            * float(kve(0.25, q))
+            * float(scipy.special.kve(0.25, q))
         )
         total += term
         if term < 1e-13:

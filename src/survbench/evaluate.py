@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .core import ArmData, KmCurve, StudyDataset, _run_starts, km_estimate, median_survival, store_json
 
@@ -97,19 +96,17 @@ def _build_event_table(dataset: StudyDataset) -> _EventTable:
 def _logrank(tab: _EventTable) -> LogrankResult:
     n = tab.n1 + tab.n0
     d = tab.d1 + tab.d0
-    expected = d * tab.n1 / n
     # a lone subject at risk has no tie correction; the mask skips its 0 / 0
     tie_factor = np.divide(n - d, n - 1.0, out=np.zeros_like(n), where=n > 1.0)
-    share = tab.n1 / n
-    variance = d * share * (1.0 - share) * tie_factor
-    observed = float(tab.d1.sum())
-    e_total = float(expected.sum())
-    v_total = float(variance.sum())
+    # per-time differences and the product n1 n0 make both sums symmetric in
+    # the arms: a swap negates O - E exactly and keeps every bit of the variance
+    o_minus_e = float(((tab.d1 * tab.n0 - tab.d0 * tab.n1) / n).sum())
+    v_total = float((d * (tab.n1 * tab.n0) / (n * n) * tie_factor).sum())
     if v_total <= 0.0:
         raise DegenerateTestError("logrank variance is zero for this dataset")
-    statistic = (observed - e_total) ** 2 / v_total
-    p_value = float(erfc(math.sqrt(statistic / 2.0)))  # chi-square sf, 1 df
-    return LogrankResult(statistic, p_value, observed, e_total, v_total)
+    statistic = o_minus_e**2 / v_total
+    p_value = math.erfc(math.sqrt(statistic / 2.0))  # chi-square sf, 1 df
+    return LogrankResult(statistic, p_value, float(tab.d1.sum()), float((d * tab.n1 / n).sum()), v_total)
 
 
 def logrank_test(dataset: StudyDataset) -> LogrankResult:

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from scipy import optimize
-from scipy.special import erfc
 
 from survbench.core import (
     ArmData,
@@ -203,18 +202,15 @@ def logrank_test(dataset: StudyDataset) -> LogrankResult:
     tab = build_event_table(dataset)
     n = tab.n1 + tab.n0
     d = tab.d1 + tab.d0
-    expected = d * tab.n1 / n
     with np.errstate(divide="ignore", invalid="ignore"):
         tie_factor = np.where(n > 1.0, (n - d) / (n - 1.0), 0.0)
-    variance = d * (tab.n1 / n) * (1.0 - tab.n1 / n) * tie_factor
-    observed = float(np.sum(tab.d1))
-    e_total = float(np.sum(expected))
-    v_total = float(np.sum(variance))
+    o_minus_e = float(np.sum((tab.d1 * tab.n0 - tab.d0 * tab.n1) / n))
+    v_total = float(np.sum(d * (tab.n1 * tab.n0) / (n * n) * tie_factor))
     if v_total <= 0.0:
         raise DegenerateTestError("logrank variance is zero for this dataset")
-    statistic = (observed - e_total) ** 2 / v_total
-    p_value = float(erfc(math.sqrt(statistic / 2.0)))
-    return LogrankResult(statistic, p_value, observed, e_total, v_total)
+    statistic = o_minus_e**2 / v_total
+    p_value = math.erfc(math.sqrt(statistic / 2.0))
+    return LogrankResult(statistic, p_value, float(np.sum(tab.d1)), float(np.sum(d * tab.n1 / n)), v_total)
 
 
 def cox_terms(tab, ties: str) -> tuple[np.ndarray, ...]:

@@ -457,3 +457,54 @@ def test_reading_and_reconstructing_leave_out_scipy():
     # the package root imports no submodule, so core and reconstruct load only what they use
     code = "import sys, survbench.core, survbench.reconstruct; print('scipy' in sys.modules, survbench.__version__)"
     assert run_with_src(code) == "False 0.1.0"
+
+
+# scipy.special is the only scipy module the package uses, and only to fit and
+# draw from parametric families; every other path computes with numpy and math
+
+
+def test_importing_every_submodule_leaves_out_scipy_special():
+    modules = ("cli", "core", "distributions", "engines", "evaluate", "harness", "reconstruct")
+    imports = ", ".join(f"survbench.{name}" for name in modules)
+    assert run_with_src(f"import sys, {imports}; print('scipy.special' in sys.modules)") == "False"
+
+
+def test_scoring_resampling_and_reconstructing_leave_out_scipy_special(tmp_path):
+    tests = os.path.dirname(os.path.abspath(__file__))
+    code = f"""
+import json, os, sys
+sys.path.insert(0, {tests!r})
+from helpers import digitize_study, synth_study
+from survbench.core import RandomStream, StudyMetadata, store_dataset, store_metadata
+from survbench.engines import build_model, simulate
+from survbench.evaluate import evaluate_dataset
+from survbench.harness import load_config
+from survbench.reconstruct import reconstruct_study
+dataset = synth_study(3, n=40)
+reference = evaluate_dataset(dataset)
+os.chdir({str(tmp_path)!r})
+store_dataset(dataset, "s.csv")
+store_metadata(StudyMetadata("s", reference.logrank_p, None, dict(reference.medians), "non-crossing"), "s.json")
+with open("bench.json", "w") as fh:
+    json.dump({{"studies": [{{"dataset": "s.csv", "metadata": "s.json"}}], "engines": ["case", "kde", "condboot"]}}, fh)
+load_config("bench.json")
+for engine in ("case", "kde", "condboot"):
+    simulate(build_model(engine, dataset.arms[0]), 40, RandomStream(1, 0))
+reconstruct_study(digitize_study(dataset), "s")
+print('scipy.special' in sys.modules)
+"""
+    assert run_with_src(code) == "False"
+
+
+def test_fitting_a_parametric_model_loads_scipy_special():
+    code = """
+import sys
+import numpy as np
+from survbench.core import arm_from_arrays
+from survbench.engines import build_model
+before = 'scipy.special' in sys.modules
+times = np.linspace(0.5, 12.0, 40)
+build_model("parametric", arm_from_arrays("A", times, (np.arange(40) % 3 != 0).astype(int)))
+print(before, 'scipy.special' in sys.modules)
+"""
+    assert run_with_src(code) == "False True"

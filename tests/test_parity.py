@@ -20,7 +20,7 @@ import oracle
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy import optimize
+from scipy import optimize, special
 
 from survbench import core, distributions, evaluate, harness, reconstruct
 from survbench.core import (
@@ -57,6 +57,7 @@ from survbench.evaluate import (
     cox_score,
     evaluate_dataset,
     logrank_test,
+    rmst,
     rmst_from_curve,
     rmst_tau,
     tie_ratio,
@@ -289,8 +290,45 @@ def _same_relative(a, b):
     return a is None and b is None or a is not None and b is not None and math.isclose(a, b, rel_tol=1e-12)
 
 
-# The logrank statistic is left out: it keeps 1e-12 only while O - E does not
-# cancel (see the expected failure below). Its p value keeps it throughout.
+# A constant that is not a power of two rounds most scaled times. While that
+# keeps every time's rank and every nonzero time normal, the risk sets stay
+# those of the study: p and HR keep 1e-12 relative, and the medians, tau and
+# each arm's RMST scale by the constant within 1e-12. Draws where rounding
+# merges two close times or leaves the normal range fall outside the property;
+# the tie ratio, which counts merges, is not checked.
+_scale = st.floats(0.01, 100.0).filter(lambda c: math.frexp(c)[0] != 0.5)
+
+
+def _keeps_the_risk_sets(times, scaled):
+    """No two times merge, and no time leaves the normal range, where a float keeps 53 bits."""
+    nonzero = np.concatenate((times[times != 0.0], scaled[scaled != 0.0]))
+    return np.unique(scaled).size == np.unique(times).size and (np.abs(nonzero) >= sys.float_info.min).all()
+
+
+@settings(deadline=None, max_examples=300)
+@given(studies(), _scale)
+@example(_study([(0.5, 1), (0.5, 1), (1.5, 0)], [(0.5, 1), (2.5, 1), (2.5, 0)]), 3.0)  # ties across arms
+@example(_study([(0.0, 0), (2.0, 1), (3.0, 1)], [(0.0, 1), (1.0, 1), (1.5, 1)]), 0.1)  # tau = 0
+@example(_study([(1.0, 1), (2.0, 1)], [(3.0, 1), (4.0, 0)]), 7.3)  # separated arms: no hazard ratio
+def test_scaling_every_time_keeps_p_and_hr_and_scales_the_times(dataset, c):
+    times = np.concatenate([arm.times() for arm in dataset.arms])
+    # a subnormal time scales with fewer bits, and one that underflows to 0 ties with 0
+    assume(_keeps_the_risk_sets(times, c * times))
+    base = evaluate_dataset(dataset)
+    scaled_study = _study_of(dataset, lambda arm: (c * arm.times(), arm.statuses()))
+    scaled = evaluate_dataset(scaled_study)
+    assert _same_relative(scaled.logrank_p, base.logrank_p)
+    assert _same_relative(scaled.hazard_ratio, base.hazard_ratio)
+    for label, median in base.medians.items():
+        assert _same_relative(scaled.medians[label], None if median is None else c * median)
+    assert _same_relative(scaled.tau, c * base.tau)
+    if base.tau > 0.0:
+        for arm, scaled_arm in zip(dataset.arms, scaled_study.arms):
+            assert _same_relative(rmst(scaled_arm, scaled.tau), c * rmst(arm, base.tau))
+
+
+# O - E sums (d1 n0 - d0 n1) / n, which negates exactly under the swap, and the
+# variance forms n1 n0 first, so the logrank statistic and p are bit-identical
 @settings(deadline=None, max_examples=300)
 @given(studies())
 @example(_study([(1.0, 0), (2.0, 0)], [(0.0, 0), (3.0, 0)]))  # no events
@@ -301,8 +339,8 @@ def _same_relative(a, b):
 def test_swapping_the_arms_inverts_only_the_signed_statistics(dataset):
     base = evaluate_dataset(dataset)
     swapped = evaluate_dataset(StudyDataset(dataset.arms[::-1]))
-    assert (swapped.logrank_statistic is None) == (base.logrank_statistic is None)
-    assert _same_relative(swapped.logrank_p, base.logrank_p)
+    assert repr(swapped.logrank_statistic) == repr(base.logrank_statistic)
+    assert repr(swapped.logrank_p) == repr(base.logrank_p)
     assert (swapped.hazard_ratio is None) == (base.hazard_ratio is None)
     if base.hazard_ratio is not None:
         assert math.isclose(swapped.hazard_ratio * base.hazard_ratio, 1.0, rel_tol=1e-12)
@@ -313,14 +351,29 @@ def test_swapping_the_arms_inverts_only_the_signed_statistics(dataset):
     assert repr(swapped.medians) == repr(dict(reversed(base.medians.items())))
 
 
-# O = E exactly in both orders (2/3 + 1/2 + 1/3 + 1/2 = 2 for A), but arm A's
-# sum of expected events rounds off 2, so the statistic reads 5.2e-32 in this
-# order and 0.0 in the other
-@pytest.mark.xfail(strict=True, reason="O - E is summed for the first arm, so its rounding follows the arm order")
+# O = E exactly in both orders (2/3 + 1/2 + 1/3 + 1/2 = 2 for A), yet arm A's
+# sum of expected events rounds off 2: observed minus expected read 5.2e-32 in
+# this order and 0.0 in the other, where the per-time differences do not
 def test_swapping_the_arms_keeps_the_logrank_statistic():
     dataset = _study([(4.0, 1), (5.0, 0), (7.0, 1), (28.0, 0)], [(8.0, 1), (16.0, 1)])
     swapped = StudyDataset(dataset.arms[::-1])
     assert _same_relative(logrank_test(swapped).statistic, logrank_test(dataset).statistic)
+
+
+# p is math.erfc of the chi-square root; scipy's erfc is up to 32 ulp from the
+# true value for p >= 1e-17 and math.erfc within 2.4, so 40 ulp covers both
+@settings(deadline=None, max_examples=300)
+@given(studies())
+@example(_study([(1.0, 1), (2.0, 1), (3.0, 1)] * 8, [(10.0, 0), (11.0, 1), (12.0, 0)] * 8))  # p 2.1e-12
+@example(_study([(0.5 * k, 1) for k in range(1, 29)], [(30.0 + k, 1) for k in range(28)]))  # p 3.7e-16, 26 ulp apart
+def test_logrank_p_is_scipys_chi_square_tail(dataset):
+    try:
+        res = logrank_test(dataset)
+    except DegenerateTestError:
+        return
+    reference = float(special.erfc(math.sqrt(res.statistic / 2.0)))
+    if reference >= 1e-17:
+        assert abs(res.p_value - reference) <= 40 * math.ulp(reference)
 
 
 def _fitted(fit, sample):
