@@ -414,11 +414,12 @@ def run_with_src(code: str) -> str:
     return out.stdout.strip()
 
 
-def test_importing_the_package_leaves_out_scipy_optimize():
-    # no submodule imports the optimizer at load time
-    modules = ("core", "distributions", "engines", "evaluate", "harness", "reconstruct")
+def test_importing_every_submodule_leaves_out_scipy_optimize_and_special():
+    # no submodule imports the optimizer or the special functions at load time
+    modules = ("cli", "core", "distributions", "engines", "evaluate", "harness", "reconstruct")
     imports = ", ".join(f"survbench.{name}" for name in modules)
-    assert run_with_src(f"import sys, {imports}; print('scipy.optimize' in sys.modules)") == "False"
+    code = f"import sys, {imports}; print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)"
+    assert run_with_src(code) == "False False"
 
 
 # median 2 and 90th percentile 2.8 lie close enough for the Gompertz start to search for a root
@@ -461,14 +462,6 @@ def test_reading_and_reconstructing_leave_out_scipy():
 
 # scipy.special is the only scipy module the package uses, and only to fit and
 # draw from parametric families; every other path computes with numpy and math
-
-
-def test_importing_every_submodule_leaves_out_scipy_special():
-    modules = ("cli", "core", "distributions", "engines", "evaluate", "harness", "reconstruct")
-    imports = ", ".join(f"survbench.{name}" for name in modules)
-    assert run_with_src(f"import sys, {imports}; print('scipy.special' in sys.modules)") == "False"
-
-
 def test_scoring_resampling_and_reconstructing_leave_out_scipy_special(tmp_path):
     tests = os.path.dirname(os.path.abspath(__file__))
     code = f"""
