@@ -8,9 +8,7 @@ import sys
 from dataclasses import replace
 
 from .core import RandomStream, StudyDataset, counts_ok, load_dataset, store_dataset, store_json
-from .engines import build_model, model_summary, simulate
 from .evaluate import evaluate_dataset, store_evaluation
-from .harness import load_config, run_benchmark
 from .reconstruct import load_digitized_arm, load_event_totals, reconstruct_study
 
 
@@ -73,6 +71,9 @@ def _n_per_arm(text: str) -> int | str:
 
 
 def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    # engines (and with them scipy) load only for the commands that simulate
+    from .engines import build_model, model_summary, simulate
+
     dataset = load_dataset(args.input)
     sizes = [len(arm) for arm in dataset.arms]
     if args.engine == "condboot" and args.n_per_arm != "source" and set(sizes) != {args.n_per_arm}:
@@ -100,6 +101,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from .harness import load_config, run_benchmark
+
     config = replace(load_config(args.config), output_dir=args.out)
     if args.iterations is not None:
         try:

@@ -96,8 +96,8 @@ def _build_event_table(dataset: StudyDataset) -> _EventTable:
 def _logrank(tab: _EventTable) -> LogrankResult:
     n = tab.n1 + tab.n0
     d = tab.d1 + tab.d0
-    # a lone subject at risk has no tie correction; the mask skips its 0 / 0
-    tie_factor = np.divide(n - d, n - 1.0, out=np.zeros_like(n), where=n > 1.0)
+    # n >= d >= 1 at every event time, so a lone subject at risk reads 0 / 1
+    tie_factor = (n - d) / np.maximum(n - 1.0, 1.0)
     # per-time differences and the product n1 n0 make both sums symmetric in
     # the arms: a swap negates O - E exactly and keeps every bit of the variance
     o_minus_e = float(((tab.d1 * tab.n0 - tab.d0 * tab.n1) / n).sum())

@@ -15,7 +15,7 @@ import pytest
 from scipy.integrate import quad
 
 from survbench import distributions
-from survbench.core import RandomStream
+from survbench.core import RandomStream, store_dataset
 from survbench.distributions import (
     CANONICAL_FAMILIES,
     DomainError,
@@ -32,7 +32,7 @@ from survbench.distributions import (
 )
 from survbench.distributions import _cvm_cdf_asymptotic
 
-from helpers import cdf, pdf, quantile
+from helpers import cdf, pdf, quantile, synth_study
 
 # family_id, parameters, probe x, pdf(x), cdf(x), quantile(0.9)
 ANCHORS = [
@@ -487,6 +487,26 @@ reconstruct_study(digitize_study(dataset), "s")
 print('scipy.special' in sys.modules)
 """
     assert run_with_src(code) == "False"
+
+
+def test_reconstruct_and_evaluate_commands_leave_out_engines_and_scipy(tmp_path):
+    # only simulate and bench import the engines, and through them scipy
+    for label in "AB":
+        (tmp_path / f"c{label}.csv").write_text("time,survival\n0.0,1.0\n2.0,0.8\n5.0,0.5\n")
+        (tmp_path / f"r{label}.csv").write_text("time,n_risk\n0,10\n4,6\n")
+    store_dataset(synth_study(3, n=40), str(tmp_path / "s.csv"))
+    reconstruct = ["reconstruct", "--coords", f"A={tmp_path / 'cA.csv'},B={tmp_path / 'cB.csv'}",
+                   "--risk", f"A={tmp_path / 'rA.csv'},B={tmp_path / 'rB.csv'}",
+                   "--out", str(tmp_path / "recon.csv"), "--report", str(tmp_path / "report.json")]
+    evaluate = ["evaluate", "--input", str(tmp_path / "s.csv"), "--out", str(tmp_path / "eval.json")]
+    code = f"""
+import contextlib, io, sys
+from survbench.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main({reconstruct!r}), main({evaluate!r})]
+print(codes, [name in sys.modules for name in ("survbench.engines", "survbench.distributions", "scipy")])
+"""
+    assert run_with_src(code) == "[0, 0] [False, False, False]"
 
 
 def test_fitting_a_parametric_model_loads_scipy_special():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from survbench.core import ArmData, RandomStream, StudyDataset, km_estimate
 from survbench.distributions import fit_mle
@@ -32,6 +34,21 @@ from survbench.engines import (
 from survbench.evaluate import tie_ratio
 
 from helpers import arm_of, pairs_of, survival_at, synth_arm, synth_study
+
+
+@st.composite
+def kde_samples(draw):
+    """Samples for kde_fit: ties, two points, far outliers and spreads
+    down to where the bandwidth underflows, up to 700 values."""
+    n = draw(st.integers(2, 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.lognormal(0.0, draw(st.sampled_from([0.1, 1.0, 3.0])), n)
+    if draw(st.booleans()):  # ties on a coarse grid
+        x = np.round(x, draw(st.integers(0, 2)))
+    if draw(st.booleans()):  # far outliers
+        x[: draw(st.integers(1, 3))] = draw(st.floats(1e3, 1e6))
+    # squared deviations below about 1e-162 underflow, and with them the bandwidth
+    return x * draw(st.sampled_from([1.0, 1e-100, 1e-155, 1e-160, 1e-163, 1e-166]))
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +130,25 @@ class TestKdeFit:
         assert kde.density(0.0)[0] == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-12)
         assert kde.density([-1.0, 1.0]).tolist() == [math.exp(-0.5) / math.sqrt(2.0 * math.pi)] * 2
 
-    def test_envelope_is_the_grid_peak_with_margin(self):
-        kde = kde_fit([1.0, 2.0, 3.0, 10.0])
+    @settings(deadline=None, max_examples=300)
+    @given(kde_samples())
+    @example(np.array([1.0, 2.0, 3.0, 10.0]))
+    @example(np.array([0.0, 1e6]))
+    def test_envelope_is_the_grid_peak_with_margin(self, x):
+        # the cell search finds the very maximum a scan of the whole grid finds
+        try:
+            kde = kde_fit(x)
+        except BandwidthError:
+            return
         grid = np.linspace(kde.lower, kde.upper, KDE_GRID_POINTS)
         assert kde.envelope == float(np.max(kde.density(grid))) * KDE_ENVELOPE_SAFETY
+
+    def test_envelope_search_evaluates_a_fraction_of_the_grid(self, monkeypatch):
+        points = []
+        density = KdeDensity.density
+        monkeypatch.setattr(KdeDensity, "density", lambda kde, x: points.append(len(x)) or density(kde, x))
+        kde_fit(synth_arm("A", np.random.default_rng(5), 600, 1.3, 10.0, 0.0, 30.0).times())
+        assert sum(points) <= KDE_GRID_POINTS // 4
 
     def test_envelope_dominates_density(self):
         kde = kde_fit([1.0, 1.5, 2.0, 8.0, 9.0])

@@ -206,6 +206,26 @@ class TestCox:
         assert res.converged
         assert res.log_hazard_ratio == pytest.approx(brute_force_cox_beta(ds, ties), abs=1e-6)
 
+    @pytest.mark.parametrize("ties, loglik", [("efron", -math.log(360.0)), ("breslow", -math.log(480.0))])
+    def test_six_subject_study_cox_terms_at_zero_by_hand(self, ties, loglik):
+        # the study of the logrank two-by-two tables: at beta = 0 every subject at
+        # risk weighs 1, so each event time contributes -log(at risk), with Efron
+        # removing half the two tied events at t = 3 from the second row:
+        #   Efron   -log 6 - log 5 - log 4 - log 3 = -log 360
+        #   Breslow -log 6 - log 5 - 2 log 4       = -log 480
+        # Both tie rules give the score 2 - (3/6 + 2/5 + 2 * 2/4) = 1/10 and the
+        # information 1/4 + 6/25 + 2 * 1/4 = 99/100. The logrank variance of the
+        # same study is 247/300: its tie factor (n - d) / (n - 1) takes t = 3's
+        # share from 1/2 to 1/3.
+        ds = study([(1.0, 1), (3.0, 1), (4.0, 0)], [(2.0, 1), (3.0, 1), (5.0, 0)])
+        assert cox_partial_loglik(ds, 0.0, ties) == pytest.approx(loglik, rel=1e-14)
+        assert cox_score(ds, 0.0, ties) == pytest.approx(1.0 / 10.0, rel=1e-14)
+        tab = evaluate._build_event_table(ds)
+        ll, score, hessian = evaluate._cox_loglik_parts(0.0, evaluate._cox_terms(tab, ties), float(tab.d1.sum()))
+        assert (ll, score) == (cox_partial_loglik(ds, 0.0, ties), cox_score(ds, 0.0, ties))
+        assert -hessian == pytest.approx(99.0 / 100.0, rel=1e-14)
+        assert logrank_test(ds).variance == pytest.approx(247.0 / 300.0, rel=1e-14)
+
     @pytest.mark.parametrize("beta", [-1.0, 0.0, 0.7])
     def test_partial_loglik_matches_brute_force(self, beta):
         ds = random_tied_study(21, n=25)
