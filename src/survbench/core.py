@@ -332,13 +332,6 @@ class RandomStream:
         return self._generator
 
 
-def as_generator(rng: RandomStream | np.random.Generator) -> np.random.Generator:
-    """The generator behind a stream, or the generator itself."""
-    if isinstance(rng, RandomStream):
-        return rng.generator
-    return rng
-
-
 def _read_text(path: str) -> str:
     """A file's UTF-8 text without a leading byte-order mark; bytes that
     do not decode raise ParseError naming the line."""

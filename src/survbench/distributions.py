@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .core import RandomStream, as_generator
-
 MIXTURE_WEIBULL_WEIGHT = 0.2
 MIXTURE_NORMAL_WEIGHT = 0.8
 
@@ -489,14 +487,13 @@ def _check_support(family: ParametricFamily, x: np.ndarray, what: str) -> None:
         raise SupportError(f"family {family.family_id} is supported on x > 0 only")
 
 
-def sample(family: ParametricFamily, n: int, rng: RandomStream | np.random.Generator) -> np.ndarray:
-    """Draw n values from the family, deterministically under a fixed stream.
+def sample(family: ParametricFamily, n: int, gen: np.random.Generator) -> np.ndarray:
+    """Draw n values from the family, deterministically under a fixed generator state.
 
     Families without a direct sampler go through the inverse transform.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    gen = as_generator(rng)
     draw = _FAMILIES[family.family_id].draw
     if draw is not None:
         return draw(gen, n, *family.parameters)

@@ -17,7 +17,6 @@ from .core import (
     ArmData,
     RandomStream,
     arm_from_arrays,
-    as_generator,
     km_from_arrays,
     observe_arrays,
 )
@@ -144,7 +143,10 @@ def silverman_bandwidth(sample_values: np.ndarray) -> float:
         raise BandwidthError(f"need at least 2 observations, got {x.size}")
     if float(np.min(x)) == float(np.max(x)):
         raise BandwidthError("degenerate sample, all values equal")
-    sd = float(np.std(x, ddof=1))
+    # powers of two scale exactly: squared deviations of the sample brought to
+    # a largest magnitude near 1 do not underflow, as they would below about 1e-162
+    k = math.frexp(float(np.max(np.abs(x))))[1]
+    sd = math.ldexp(float(np.std(np.ldexp(x, -k), ddof=1)), k)
     q1, q3 = np.quantile(x, [0.25, 0.75])
     spread = min(sd, float(q3 - q1) / 1.34)
     if spread <= 0.0:
@@ -158,9 +160,9 @@ def kde_fit(sample_values) -> KdeDensity:
     if x.size == 0 or not np.all(np.isfinite(x)):
         raise BandwidthError("sample must be non-empty and finite")
     h = silverman_bandwidth(x)
-    # the rule underflows to 0 on subnormal samples
-    if h <= 0.0:
-        raise BandwidthError(f"bandwidth must be > 0, got {h}")
+    # the rule is subnormal on subnormal samples, and 1 / (n * h) then overflows
+    if not h >= np.finfo(float).tiny:
+        raise BandwidthError(f"bandwidth must be > 0 and a normal float, got {h}")
     lower = max(0.0, float(np.min(x)) - 3.0 * h)
     upper = float(np.max(x)) + 3.0 * h
     kde = KdeDensity(x.copy(), h, lower, upper, envelope=1.0)
@@ -169,10 +171,10 @@ def kde_fit(sample_values) -> KdeDensity:
     return kde
 
 
-def kde_sample(kde: KdeDensity, n: int, rng: RandomStream | np.random.Generator) -> np.ndarray:
+def kde_sample(kde: KdeDensity, n: int, gen: np.random.Generator) -> np.ndarray:
     """Rejection sampling under the flat envelope over the domain.
 
-    Each block of proposals is drawn whole, so the random stream advances
+    Each block of proposals is drawn whole, so the generator advances
     the same way however soon the sample fills. The density is evaluated in
     proposal order, about as many proposals at a time as the rest of the
     sample should need (at least one row block), and the proposals after
@@ -180,7 +182,6 @@ def kde_sample(kde: KdeDensity, n: int, rng: RandomStream | np.random.Generator)
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    gen = as_generator(rng)
     out = np.empty(n, dtype=float)
     filled = 0
     proposed = 0
@@ -398,18 +399,15 @@ def _simulate_independent(label: str, sampler, event_src, censor_src, n_out: int
     return arm_from_arrays(label, times, status)
 
 
-def case_resample(model: ArmModel, n_out: int, rng: RandomStream | np.random.Generator) -> ArmData:
+def case_resample(model: ArmModel, n_out: int, gen: np.random.Generator) -> ArmData:
     """Draw whole observations with replacement; any output size is fine."""
-    gen = as_generator(rng)
     idx = gen.integers(0, model.n_source, size=n_out)
     source = model.source
     # rows of a checked arm: nothing to re-check
     return ArmData._from_columns(model.label, source.times()[idx], source.statuses()[idx])
 
 
-def conditional_bootstrap(
-    model: ArmModel, n_out: int, rng: RandomStream | np.random.Generator
-) -> ArmData:
+def conditional_bootstrap(model: ArmModel, n_out: int, gen: np.random.Generator) -> ArmData:
     """Resample event times while keeping each subject's censoring pattern.
 
     Censored subjects keep their censoring time; subjects with an event
@@ -428,7 +426,6 @@ def conditional_bootstrap(
     ``CondbootPlan``; a call draws the partners, then the event times,
     into copies of the plan's bases.
     """
-    gen = as_generator(rng)
     if n_out != model.n_source:
         raise SizeMismatchError(
             f"conditional bootstrap must keep the source size {model.n_source}, got {n_out}"
@@ -447,11 +444,15 @@ def conditional_bootstrap(
     return ArmData._from_columns(model.label, *observe_arrays(event_latent, censor_latent))
 
 
-def simulate(model: ArmModel, n_out: int, rng: RandomStream | np.random.Generator) -> ArmData:
-    """Generate one synthetic arm of size n_out from a fitted model."""
+def simulate(model: ArmModel, n_out: int, rng: RandomStream) -> ArmData:
+    """Generate one synthetic arm of size n_out from a fitted model.
+
+    The stream's generator is built on first use and carries on across
+    calls, so two calls on one stream draw one after the other.
+    """
     if n_out < 1:
         raise SizeMismatchError(f"n_out must be >= 1, got {n_out}")
-    gen = as_generator(rng)
+    gen = rng.generator
     if model.engine == "parametric":
         fits = (model.event_fit, model.censoring_fit)
         return _simulate_independent(model.label, _positive_draws, *fits, n_out, gen)

@@ -239,13 +239,13 @@ def test_criterion_6_distributional_correctness():
     ]
     for index, (family_id, params) in enumerate(families):
         family = ParametricFamily(family_id, params)
-        draws = sample(family, 100000, RandomStream(9, index))
+        draws = sample(family, 100000, RandomStream(9, index).generator)
         ks = ks_distance(cdf(family, np.sort(draws)))
         if ks > 0.01:
             problems.append(f"{family_id}: sampling KS {ks:.4f} > 0.01")
 
     kde = kde_fit([2.0, 3.0, 4.0, 5.0, 9.0, 11.0])
-    draws = kde_sample(kde, 10000, RandomStream(6, 0))
+    draws = kde_sample(kde, 10000, RandomStream(6, 0).generator)
     grid = np.linspace(kde.lower, kde.upper, 20001)
     dens = kde.density(grid)
     quad_cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])

@@ -104,7 +104,7 @@ class TestSelfConsistency:
 
     def test_sampling_matches_cdf(self, fam_id):
         fam = family(fam_id)
-        xs = np.sort(sample(fam, 20000, RandomStream(321, 5)))
+        xs = np.sort(sample(fam, 20000, RandomStream(321, 5).generator))
         n = xs.size
         grid = cdf(fam, xs)
         ks = max(
@@ -115,14 +115,14 @@ class TestSelfConsistency:
 
     def test_sampling_is_deterministic(self, fam_id):
         fam = family(fam_id)
-        a = sample(fam, 50, RandomStream(9, 2))
-        b = sample(fam, 50, RandomStream(9, 2))
+        a = sample(fam, 50, RandomStream(9, 2).generator)
+        b = sample(fam, 50, RandomStream(9, 2).generator)
         assert a.tolist() == b.tolist()
 
     def test_positive_support_samples_are_positive(self, fam_id):
         fam = family(fam_id)
         if fam.positive_support:
-            assert np.all(sample(fam, 2000, RandomStream(4, 1)) > 0.0)
+            assert np.all(sample(fam, 2000, RandomStream(4, 1).generator) > 0.0)
 
 
 class TestDomainChecks:
@@ -175,7 +175,7 @@ class TestMaximumLikelihood:
     def test_exponential_fit_is_the_converged_closed_form(self):
         # 1/mean is the MLE itself; an iterative refit could land an ulp
         # below it and was then reported as not converged
-        x = sample(ParametricFamily("exponential", (0.1,)), 20, RandomStream(11, 13))
+        x = sample(ParametricFamily("exponential", (0.1,)), 20, RandomStream(11, 13).generator)
         fit = fit_mle("exponential", x)
         assert fit.family.parameters == (1.0 / float(np.mean(x)),)
         assert fit.converged
@@ -188,7 +188,7 @@ class TestMaximumLikelihood:
         assert fit.family.parameters[1] == pytest.approx(float(np.std(logs)), abs=1e-6)
 
     def test_gamma_recovery_at_moderate_n(self):
-        xs = sample(ParametricFamily("gamma", (3.0, 2.0)), 2000, RandomStream(7, 0))
+        xs = sample(ParametricFamily("gamma", (3.0, 2.0)), 2000, RandomStream(7, 0).generator)
         fit = fit_mle("gamma", xs)
         shape, rate = fit.family.parameters
         assert shape == pytest.approx(3.0, rel=0.1)
@@ -198,14 +198,14 @@ class TestMaximumLikelihood:
     def test_recovery_at_large_n(self, fam_id):
         true = FIXTURE_PARAMS[fam_id]
         idx = CANONICAL_FAMILIES.index(fam_id)
-        xs = sample(ParametricFamily(fam_id, true), 10000, RandomStream(123, idx))
+        xs = sample(ParametricFamily(fam_id, true), 10000, RandomStream(123, idx).generator)
         fit = fit_mle(fam_id, xs)
         assert fit.converged
         for got, want in zip(fit.family.parameters, true):
             assert got == pytest.approx(want, rel=0.05)
 
     def test_inverse_gamma_fit_zeroes_the_likelihood_gradient(self):
-        xs = sample(ParametricFamily("inverse-gamma", (3.0, 4.0)), 4000, RandomStream(55, 0))
+        xs = sample(ParametricFamily("inverse-gamma", (3.0, 4.0)), 4000, RandomStream(55, 0).generator)
         fit = fit_mle("inverse-gamma", xs)
         a, b = fit.family.parameters
 
@@ -219,7 +219,7 @@ class TestMaximumLikelihood:
         assert abs(grad_b) < 1e-2
 
     def test_fit_reports_log_likelihood_of_fitted_family(self):
-        xs = sample(family("weibull"), 500, RandomStream(2, 2))
+        xs = sample(family("weibull"), 500, RandomStream(2, 2).generator)
         fit = fit_mle("weibull", xs)
         direct = float(np.log(pdf(fit.family, xs)).sum())
         assert fit.log_likelihood == pytest.approx(direct, rel=1e-12)
@@ -280,12 +280,12 @@ class TestCramerVonMises:
 
 class TestSelection:
     def test_selects_normal_on_normal_data(self):
-        xs = sample(family("normal"), 500, RandomStream(1, 0))
+        xs = sample(family("normal"), 500, RandomStream(1, 0).generator)
         best = select_distribution(xs)
         assert best.family.family_id == "normal"
 
     def test_selection_is_argmax_of_candidate_p_values(self):
-        xs = sample(family("weibull"), 300, RandomStream(3, 1))
+        xs = sample(family("weibull"), 300, RandomStream(3, 1).generator)
         best = select_distribution(xs)
         fits, _ = fit_candidates(xs)
         manual = fits[0]
@@ -296,7 +296,7 @@ class TestSelection:
         assert best.cvm_p_value == manual.cvm_p_value
 
     def test_candidates_skip_positive_families_on_negative_data(self):
-        xs = sample(family("normal"), 200, RandomStream(6, 0)) - 50.0
+        xs = sample(family("normal"), 200, RandomStream(6, 0).generator) - 50.0
         assert float(np.min(xs)) < 0.0
         fits, failures = fit_candidates(xs)
         fitted = {f.family.family_id for f in fits}
@@ -331,7 +331,7 @@ def test_fitted_distribution_json_round_trip():
     }
 
 
-# family_id, first three draws of sample(family, 80, RandomStream(9, index)),
+# family_id, first three draws of sample(family, 80, RandomStream(9, index).generator),
 # then fit_mle(family_id, those 80 draws).family.parameters; compared exactly,
 # so any change in sampling order or fitting arithmetic shows up bit for bit
 PINNED = [
@@ -395,7 +395,7 @@ PINNED = [
 
 @pytest.mark.parametrize("fam_id, first_draws, fitted", PINNED)
 def test_pinned_draws_and_fit(fam_id, first_draws, fitted):
-    draws = sample(family(fam_id), 80, RandomStream(9, CANONICAL_FAMILIES.index(fam_id)))
+    draws = sample(family(fam_id), 80, RandomStream(9, CANONICAL_FAMILIES.index(fam_id)).generator)
     assert tuple(float(v) for v in draws[:3]) == first_draws
     fit = fit_mle(fam_id, draws)
     assert fit.family.parameters == fitted

@@ -39,7 +39,7 @@ from helpers import arm_of, pairs_of, survival_at, synth_arm, synth_study
 @st.composite
 def kde_samples(draw):
     """Samples for kde_fit: ties, two points, far outliers and spreads
-    down to where the bandwidth underflows, up to 700 values."""
+    down to where squared deviations underflow, up to 700 values."""
     n = draw(st.integers(2, 700))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.lognormal(0.0, draw(st.sampled_from([0.1, 1.0, 3.0])), n)
@@ -47,7 +47,7 @@ def kde_samples(draw):
         x = np.round(x, draw(st.integers(0, 2)))
     if draw(st.booleans()):  # far outliers
         x[: draw(st.integers(1, 3))] = draw(st.floats(1e3, 1e6))
-    # squared deviations below about 1e-162 underflow, and with them the bandwidth
+    # squared deviations below about 1e-162 underflow
     return x * draw(st.sampled_from([1.0, 1e-100, 1e-155, 1e-160, 1e-163, 1e-166]))
 
 
@@ -102,6 +102,15 @@ class TestSilvermanBandwidth:
         x = np.array([1.0] * 7 + [100.0])
         sd = float(np.std(x, ddof=1))
         assert silverman_bandwidth(x) == pytest.approx(0.9 * sd * 8 ** (-0.2), rel=1e-12)
+
+    @pytest.mark.parametrize("scale, rel", [(2.0**-540, 0.0), (1e-163, 1e-13), (1e-166, 1e-13)])
+    def test_spreads_whose_squares_underflow_keep_their_bandwidth(self, scale, rel):
+        # the squared deviations of x * scale underflow to 0; a power of two
+        # scales the bandwidth exactly
+        x = np.random.default_rng(3).lognormal(0.0, 1.0, 200)
+        h = silverman_bandwidth(x * scale)
+        assert h == pytest.approx(silverman_bandwidth(x) * scale, rel=rel, abs=0.0)
+        assert kde_fit(x * scale).bandwidth == h
 
     def test_too_few_observations(self):
         with pytest.raises(BandwidthError, match="at least 2"):
@@ -167,7 +176,7 @@ class TestKdeFit:
             kde_fit([])
         with pytest.raises(BandwidthError):
             kde_fit([1.0, np.inf])
-        # the Silverman rule underflows to 0 on a subnormal sample
+        # the Silverman rule is subnormal on a subnormal sample
         with pytest.raises(BandwidthError, match="bandwidth must be > 0"):
             kde_fit([5e-324, 1e-323, 1.5e-323])
 
@@ -175,20 +184,20 @@ class TestKdeFit:
 class TestKdeSample:
     def test_samples_stay_inside_domain(self):
         kde = kde_fit([1.0, 2.0, 3.0, 10.0])
-        draws = kde_sample(kde, 2000, RandomStream(11, 0))
+        draws = kde_sample(kde, 2000, RandomStream(11, 0).generator)
         assert draws.size == 2000
         assert float(np.min(draws)) >= kde.lower >= 0.0
         assert float(np.max(draws)) <= kde.upper
 
     def test_deterministic_under_stream_replay(self):
         kde = kde_fit([1.0, 4.0, 6.0, 9.0, 13.0])
-        a = kde_sample(kde, 500, RandomStream(7, 3))
-        b = kde_sample(kde, 500, RandomStream(7, 3))
+        a = kde_sample(kde, 500, RandomStream(7, 3).generator)
+        b = kde_sample(kde, 500, RandomStream(7, 3).generator)
         assert np.array_equal(a, b)
 
     def test_distribution_matches_truncated_density(self):
         kde = kde_fit([2.0, 3.0, 4.0, 5.0, 9.0, 11.0])
-        draws = np.sort(kde_sample(kde, 4000, RandomStream(5, 1)))
+        draws = np.sort(kde_sample(kde, 4000, RandomStream(5, 1).generator))
         grid = np.linspace(kde.lower, kde.upper, 20001)
         dens = kde.density(grid)
         cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])
@@ -200,9 +209,9 @@ class TestKdeSample:
 
     def test_zero_draws(self):
         kde = kde_fit([1.0, 2.0])
-        assert kde_sample(kde, 0, RandomStream(1, 0)).size == 0
+        assert kde_sample(kde, 0, RandomStream(1, 0).generator).size == 0
         with pytest.raises(ValueError):
-            kde_sample(kde, -1, RandomStream(1, 0))
+            kde_sample(kde, -1, RandomStream(1, 0).generator)
 
     def test_sampler_stops_at_the_last_acceptance_it_needs(self, monkeypatch):
         kde = build_model("kde", synth_study(50, n=150).arms[0]).event_kde
@@ -232,7 +241,7 @@ class TestKdeSample:
         kde = kde_fit([1.0, 2.0])
         kde.envelope = 1e12  # acceptance probability ~1e-12
         with pytest.raises(SamplerStallError, match="acceptance rate"):
-            kde_sample(kde, 10, RandomStream(1, 0))
+            kde_sample(kde, 10, RandomStream(1, 0).generator)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +415,8 @@ class TestCaseResampling:
 
     def test_deterministic(self):
         model = build_model("case-resampling", synth_study(9, n=50).arms[0])
-        a = case_resample(model, 120, RandomStream(8, 4))
-        b = case_resample(model, 120, RandomStream(8, 4))
+        a = case_resample(model, 120, RandomStream(8, 4).generator)
+        b = case_resample(model, 120, RandomStream(8, 4).generator)
         assert pairs_of(a) == pairs_of(b)
 
     def test_resampling_induces_ties(self):
@@ -428,7 +437,7 @@ class TestConditionalBootstrap:
         # output is fully determined for every seed
         model = build_model("condboot", arm_of([(1.0, 1), (4.0, 0)]))
         for i in range(25):
-            out = conditional_bootstrap(model, 2, RandomStream(100, i))
+            out = conditional_bootstrap(model, 2, RandomStream(100, i).generator)
             assert pairs_of(out) == [(1.0, 1), (4.0, 0)]
 
     def test_output_preserves_input_order_for_censored_rows(self):
@@ -436,7 +445,7 @@ class TestConditionalBootstrap:
         model = build_model("condboot", arm)
         pool = {5.0, 7.0}
         for i in range(50):
-            out = conditional_bootstrap(model, 5, RandomStream(200, i))
+            out = conditional_bootstrap(model, 5, RandomStream(200, i).generator)
             assert len(out) == 5
             # largest observation is censored: it must reappear verbatim
             rows = pairs_of(out)
@@ -483,7 +492,7 @@ class TestConditionalBootstrap:
         model = build_model("condboot", arm)
         seen = set()
         for i in range(25):
-            out = conditional_bootstrap(model, 3, RandomStream(300, i))
+            out = conditional_bootstrap(model, 3, RandomStream(300, i).generator)
             row = pairs_of(out)[2]
             assert row in {(2.0, 1), (6.0, 0)}
             seen.add(row)
@@ -496,7 +505,7 @@ class TestConditionalBootstrap:
         model = build_model("condboot", arm_of([(1.0, 0), (2.0, 1), (3.0, 1)]))
         seen = set()
         for i in range(200):
-            seen.add(pairs_of(conditional_bootstrap(model, 3, RandomStream(400, i)))[1])
+            seen.add(pairs_of(conditional_bootstrap(model, 3, RandomStream(400, i).generator))[1])
         assert seen == {(2.0, 1), (3.0, 0)}
 
     def test_output_size_is_pinned_to_source_size(self):
@@ -504,7 +513,7 @@ class TestConditionalBootstrap:
         with pytest.raises(SizeMismatchError, match="source size 2, got 3"):
             simulate(model, 3, RandomStream(1, 0))
         with pytest.raises(SizeMismatchError):
-            conditional_bootstrap(model, 1, RandomStream(1, 0))
+            conditional_bootstrap(model, 1, RandomStream(1, 0).generator)
 
     def test_deterministic(self):
         model = build_model("condboot", synth_study(6, n=90).arms[1])

@@ -559,7 +559,7 @@ def test_brentq_fails_as_scipy_fails(f, a, b):
 @given(arm_columns(), st.integers(1, 80), st.integers(0, 2**32))
 def test_case_resample_matches_the_loop(columns, n_out, seed):
     arm = arm_from_arrays("A", *columns)
-    out = case_resample(build_model("case", arm), n_out, RandomStream(seed, 1))
+    out = case_resample(build_model("case", arm), n_out, RandomStream(seed, 1).generator)
     assert pairs_of(out) == oracle.case_resample(arm, n_out, RandomStream(seed, 1).generator)
 
 
@@ -572,7 +572,7 @@ def test_conditional_bootstrap_matches_the_loop(columns, seed):
         return  # no events to resample: build_model refuses the arm
     arm = arm_from_arrays("A", *columns)
     model, ghat = build_model("condboot", arm), censoring_km(arm)
-    out = conditional_bootstrap(model, len(arm), RandomStream(seed, 2))
+    out = conditional_bootstrap(model, len(arm), RandomStream(seed, 2).generator)
     expected = oracle.conditional_bootstrap(arm, ghat.atom_times, ghat.atom_masses, RandomStream(seed, 2).generator)
     assert list(zip(out.times().tolist(), out.statuses().tolist())) == expected
 
@@ -589,14 +589,14 @@ _CONDBOOT_EDGE_ARMS = {
 @pytest.mark.parametrize("pairs", _CONDBOOT_EDGE_ARMS.values(), ids=_CONDBOOT_EDGE_ARMS.keys())
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_consecutive_conditional_bootstraps_match_the_loop(pairs, seed):
-    # draws from one model and one generator: a call that changed the
+    # draws from one model and one stream: a call that changed the
     # model's arrays would show in the calls after it
     arm = arm_of(pairs)
     model, ghat = build_model("condboot", arm), censoring_km(arm)
-    gen, reference = RandomStream(seed, 2).generator, RandomStream(seed, 2).generator
+    stream, reference = RandomStream(seed, 2), RandomStream(seed, 2).generator
     for _ in range(3):
         expected = oracle.conditional_bootstrap(arm, ghat.atom_times, ghat.atom_masses, reference)
-        assert pairs_of(simulate(model, len(arm), gen)) == expected
+        assert pairs_of(simulate(model, len(arm), stream)) == expected
     for array in vars(model.condboot).values():
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
@@ -624,7 +624,8 @@ def test_derived_curve_passes_the_curve_checks(columns):
 @given(arm_columns(), st.integers(1, 80), st.integers(0, 2**32))
 def test_case_resampled_arm_passes_the_arm_checks(columns, n_out, seed):
     arm = arm_from_arrays("A", *columns)
-    assert _passes_the_arm_checks(case_resample(build_model("case", arm), n_out, RandomStream(seed, 1)))
+    gen = RandomStream(seed, 1).generator
+    assert _passes_the_arm_checks(case_resample(build_model("case", arm), n_out, gen))
 
 
 @settings(deadline=None)
@@ -632,7 +633,8 @@ def test_case_resampled_arm_passes_the_arm_checks(columns, n_out, seed):
 def test_conditional_bootstrap_arm_passes_the_arm_checks(columns, seed):
     assume(columns[1].any())  # no events to resample: build_model refuses the arm
     model = build_model("condboot", arm_from_arrays("A", *columns))
-    assert _passes_the_arm_checks(conditional_bootstrap(model, len(model.source), RandomStream(seed, 2)))
+    gen = RandomStream(seed, 2).generator
+    assert _passes_the_arm_checks(conditional_bootstrap(model, len(model.source), gen))
 
 
 _time_text = st.floats().map(repr) | st.sampled_from(["nan", "inf", "-1", "1e999", "-0.0", "0"])
@@ -667,8 +669,8 @@ def test_derived_columns_are_not_checked_again(tmp_path, monkeypatch):
     arm = load_dataset(str(tmp_path / "study.csv")).arms[0]
     km_estimate(arm)
     censoring_km(arm)
-    case_resample(build_model("case", arm), 20, RandomStream(0, 1))
-    conditional_bootstrap(build_model("condboot", arm), len(arm), RandomStream(0, 2))
+    case_resample(build_model("case", arm), 20, RandomStream(0, 1).generator)
+    conditional_bootstrap(build_model("condboot", arm), len(arm), RandomStream(0, 2).generator)
 
 
 # labels csv.writer quotes (a delimiter, a quote, a line break), and ones it
