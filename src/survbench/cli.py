@@ -8,7 +8,7 @@ import sys
 from dataclasses import replace
 
 from .core import RandomStream, StudyDataset, counts_ok, load_dataset, store_dataset, store_json
-from .evaluate import evaluate_dataset, store_evaluation
+from .evaluate import evaluate_dataset
 from .reconstruct import load_digitized_arm, load_event_totals, reconstruct_study
 
 
@@ -38,7 +38,7 @@ def _cmd_reconstruct(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     )
     dataset, report = reconstruct_study(arms, study_id=args.study_id)  # type: ignore[arg-type]
     store_dataset(dataset, args.out)
-    report.store(args.report)
+    store_json(report.to_json(), args.report)
     for label, arm_report in report.arms.items():
         state = "converged" if arm_report.converged else "NOT converged"
         print(
@@ -95,7 +95,7 @@ def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     result = evaluate_dataset(load_dataset(args.input))
-    store_evaluation(result, args.out)
+    store_json(result.to_json(), args.out)
     print(json.dumps(result.to_json(), indent=2))
     return 0
 

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 import numbers
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -316,7 +317,6 @@ class RandomStream:
 
     seed: int
     stream_id: int
-    _generator: np.random.Generator | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 2**64:
@@ -324,12 +324,10 @@ class RandomStream:
         if self.stream_id < 0:
             raise ValueError(f"stream_id must be >= 0, got {self.stream_id}")
 
-    @property
+    @functools.cached_property
     def generator(self) -> np.random.Generator:
-        if self._generator is None:
-            seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
-            self._generator = np.random.default_rng(seq)
-        return self._generator
+        """Built on first use and kept, so later draws carry on from earlier ones."""
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,)))
 
 
 def _read_text(path: str) -> str:

@@ -215,31 +215,13 @@ def kde_sample(kde: KdeDensity, n: int, gen: np.random.Generator) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# censoring distribution for the conditional bootstrap
-
-
-@dataclass
-class CensoringDistribution:
-    """Step CDF of the censoring mechanism, roles of event/censor swapped.
-
-    atom_masses are the Kaplan-Meier jumps; they sum to less than one when
-    the largest observation of the arm is an event.
-    """
-
-    atom_times: np.ndarray
-    atom_masses: np.ndarray
-
-
-def censoring_km(arm: ArmData) -> CensoringDistribution:
-    curve = km_from_arrays(arm.times(), 1 - arm.statuses())
-    masses = -np.diff(np.concatenate(([1.0], curve.survival)))
-    return CensoringDistribution(curve.time, masses)
+# the conditional bootstrap's fixed part
 
 
 @dataclass(frozen=True)
 class CondbootPlan:
-    """What ``conditional_bootstrap`` derives from the source arm and its
-    censoring distribution alone, computed once by ``build_model``.
+    """What ``conditional_bootstrap`` derives from the source arm alone,
+    computed once by ``build_model``.
 
     Every array is read-only; a call copies the two bases and fills in the
     rows it draws. The ``draw`` rows are the event rows (not the largest
@@ -260,11 +242,18 @@ class CondbootPlan:
     pool: np.ndarray  # the source event times
 
 
-def condboot_plan(arm: ArmData, ghat: CensoringDistribution) -> CondbootPlan:
-    """The fixed part of every conditional bootstrap of `arm`; see ``conditional_bootstrap``."""
+def condboot_plan(arm: ArmData) -> CondbootPlan:
+    """The fixed part of every conditional bootstrap of `arm`; see ``conditional_bootstrap``.
+
+    The censoring atoms and their masses are the times and drops of the
+    Kaplan-Meier curve of the censoring distribution (roles of event and
+    censoring swapped); the masses sum to less than one when the largest
+    observation of the arm is an event.
+    """
     t, s = arm.times(), arm.statuses()
-    atoms = ghat.atom_times
-    upper = np.cumsum(ghat.atom_masses)
+    curve = km_from_arrays(t, 1 - s)
+    atoms = curve.time
+    upper = np.cumsum(-np.diff(np.concatenate(([1.0], curve.survival))))
     cum = np.concatenate(([0.0], upper))
     max_idx = int(np.flatnonzero(t == np.max(t))[-1])  # latest index wins ties
 
@@ -307,16 +296,17 @@ def condboot_plan(arm: ArmData, ghat: CensoringDistribution) -> CondbootPlan:
 
 @dataclass
 class ArmModel:
-    """Everything an engine needs, fitted once per arm."""
+    """Everything an engine needs, fitted once per arm.
+
+    ``event`` and ``censoring`` hold the fitted family of a parametric
+    model and the kernel density of a kde model; ``censoring`` is None when
+    the arm has no censored subject.
+    """
 
     engine: str
-    label: str
-    n_source: int
-    source: ArmData | None = None
-    event_fit: FittedDistribution | None = None
-    censoring_fit: FittedDistribution | None = None
-    event_kde: KdeDensity | None = None
-    censoring_kde: KdeDensity | None = None
+    source: ArmData
+    event: FittedDistribution | KdeDensity | None = None
+    censoring: FittedDistribution | KdeDensity | None = None
     condboot: CondbootPlan | None = None
 
 
@@ -330,42 +320,39 @@ def build_model(engine: str, arm: ArmData) -> ArmModel:
     kind = canonical_engine(engine)
     times, status = arm.times(), arm.statuses()
     events, censorings = times[status == 1], times[status == 0]
-    model = ArmModel(kind, arm.label, len(arm), source=arm)
+    model = ArmModel(kind, arm)
     if kind == "parametric":
         try:
-            model.event_fit = select_distribution(events)
+            model.event = select_distribution(events)
             # an arm without censored subjects simply never censors
-            model.censoring_fit = (
-                select_distribution(censorings) if censorings.size else None
-            )
+            model.censoring = select_distribution(censorings) if censorings.size else None
         except (ValueError, SelectionError) as exc:
             raise ModelBuildError(f"arm {arm.label!r}, parametric: {exc}") from exc
     elif kind == "kde":
         try:
-            model.event_kde = kde_fit(events) if events.size else None
-            model.censoring_kde = kde_fit(censorings) if censorings.size else None
+            model.event = kde_fit(events) if events.size else None
+            model.censoring = kde_fit(censorings) if censorings.size else None
         except BandwidthError as exc:
             raise ModelBuildError(f"arm {arm.label!r}, kde: {exc}") from exc
-        if model.event_kde is None:
+        if model.event is None:
             raise ModelBuildError(f"arm {arm.label!r}, kde: event subset is empty")
     elif kind == "conditional-bootstrap":
         if events.size == 0:
             raise ModelBuildError(f"arm {arm.label!r}: no events to resample")
-        model.condboot = condboot_plan(arm, censoring_km(arm))
+        model.condboot = condboot_plan(arm)
     return model
 
 
 def model_summary(model: ArmModel) -> dict:
     """JSON-friendly description of a fitted model."""
-    out: dict = {"engine": model.engine, "label": model.label, "n_source": model.n_source}
-    if model.engine == "parametric":
-        out["event"] = model.event_fit.to_json() if model.event_fit else None
-        out["censoring"] = model.censoring_fit.to_json() if model.censoring_fit else None
-    elif model.engine == "kde":
-        for side, kde in (("event", model.event_kde), ("censoring", model.censoring_kde)):
-            out[f"{side}_bandwidth"] = kde.bandwidth if kde else None
-            out[f"{side}_envelope"] = kde.envelope if kde else None
-            out[f"{side}_domain"] = [kde.lower, kde.upper] if kde else None
+    out: dict = {"engine": model.engine, "label": model.source.label, "n_source": len(model.source)}
+    for side, part in (("event", model.event), ("censoring", model.censoring)):
+        if model.engine == "parametric":
+            out[side] = part.to_json() if part else None
+        elif model.engine == "kde":
+            out[f"{side}_bandwidth"] = part.bandwidth if part else None
+            out[f"{side}_envelope"] = part.envelope if part else None
+            out[f"{side}_domain"] = [part.lower, part.upper] if part else None
     return out
 
 
@@ -387,24 +374,24 @@ def _positive_draws(fit: FittedDistribution, n: int, gen: np.random.Generator) -
     raise SamplerStallError(f"family {fit.family.family_id} keeps producing non-positive times")
 
 
-def _simulate_independent(label: str, sampler, event_src, censor_src, n_out: int, gen) -> ArmData:
-    """Independent event and censoring draws; without a censoring source nobody is censored."""
-    events = sampler(event_src, n_out, gen)
-    if censor_src is None:
+def _simulate_independent(model: ArmModel, sampler, n_out: int, gen: np.random.Generator) -> ArmData:
+    """Independent event and censoring draws; without a censoring part nobody is censored."""
+    events = sampler(model.event, n_out, gen)
+    if model.censoring is None:
         censorings = np.full(n_out, np.inf)
     else:
-        censorings = sampler(censor_src, n_out, gen)
+        censorings = sampler(model.censoring, n_out, gen)
     times, status = observe_arrays(events, censorings)
     # checked: a fitted family can draw +inf, which no censoring draw hides
-    return arm_from_arrays(label, times, status)
+    return arm_from_arrays(model.source.label, times, status)
 
 
 def case_resample(model: ArmModel, n_out: int, gen: np.random.Generator) -> ArmData:
     """Draw whole observations with replacement; any output size is fine."""
-    idx = gen.integers(0, model.n_source, size=n_out)
     source = model.source
+    idx = gen.integers(0, len(source), size=n_out)
     # rows of a checked arm: nothing to re-check
-    return ArmData._from_columns(model.label, source.times()[idx], source.statuses()[idx])
+    return ArmData._from_columns(source.label, source.times()[idx], source.statuses()[idx])
 
 
 def conditional_bootstrap(model: ArmModel, n_out: int, gen: np.random.Generator) -> ArmData:
@@ -426,9 +413,9 @@ def conditional_bootstrap(model: ArmModel, n_out: int, gen: np.random.Generator)
     ``CondbootPlan``; a call draws the partners, then the event times,
     into copies of the plan's bases.
     """
-    if n_out != model.n_source:
+    if n_out != len(model.source):
         raise SizeMismatchError(
-            f"conditional bootstrap must keep the source size {model.n_source}, got {n_out}"
+            f"conditional bootstrap must keep the source size {len(model.source)}, got {n_out}"
         )
     plan = model.condboot
     atoms = plan.atoms
@@ -441,7 +428,7 @@ def conditional_bootstrap(model: ArmModel, n_out: int, gen: np.random.Generator)
     pool = plan.pool
     event_latent[plan.event_draw] = pool[gen.integers(0, pool.size, size=plan.event_draw.size)]
     # every time is a source time, and a +inf partner leaves its row an event
-    return ArmData._from_columns(model.label, *observe_arrays(event_latent, censor_latent))
+    return ArmData._from_columns(model.source.label, *observe_arrays(event_latent, censor_latent))
 
 
 def simulate(model: ArmModel, n_out: int, rng: RandomStream) -> ArmData:
@@ -453,12 +440,9 @@ def simulate(model: ArmModel, n_out: int, rng: RandomStream) -> ArmData:
     if n_out < 1:
         raise SizeMismatchError(f"n_out must be >= 1, got {n_out}")
     gen = rng.generator
-    if model.engine == "parametric":
-        fits = (model.event_fit, model.censoring_fit)
-        return _simulate_independent(model.label, _positive_draws, *fits, n_out, gen)
-    if model.engine == "kde":
-        kdes = (model.event_kde, model.censoring_kde)
-        return _simulate_independent(model.label, kde_sample, *kdes, n_out, gen)
+    if model.engine in ("parametric", "kde"):
+        sampler = _positive_draws if model.engine == "parametric" else kde_sample
+        return _simulate_independent(model, sampler, n_out, gen)
     if model.engine == "case-resampling":
         return case_resample(model, n_out, gen)
     if model.engine == "conditional-bootstrap":

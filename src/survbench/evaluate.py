@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArmData, KmCurve, StudyDataset, _run_starts, km_estimate, median_survival, store_json
+from .core import ArmData, KmCurve, StudyDataset, _run_starts, km_estimate, median_survival
 
 COX_MAX_ITERATIONS = 200
 COX_SCORE_TOL = 1e-10
@@ -285,7 +285,3 @@ def evaluate_dataset(dataset: StudyDataset) -> EvaluationResult:
         rmstd=rmstd(dataset, tau) if tau > 0.0 else None,
         tie_ratio=tie_ratio(dataset),
     )
-
-
-def store_evaluation(result: EvaluationResult, path: str) -> None:
-    store_json(result.to_json(), path)

@@ -113,11 +113,6 @@ class MetricDiffs:
             (*key, metric): list(zip(*self._defined(key, metric))) for key in self.table for metric in ALL_METRICS
         }
 
-    @property
-    def undefined(self) -> dict[tuple[str, str, str], int]:
-        """Per (study, engine, metric), the number of iterations whose value is undefined."""
-        return {key: self.iterations - len(pairs) for key, pairs in self.values.items()}
-
     def series(self, study: str, engine: str, metric: str) -> list[float]:
         return self._defined((study, engine), metric)[1] if (study, engine) in self.table else []
 

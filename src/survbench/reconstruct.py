@@ -30,7 +30,6 @@ from .core import (
     km_estimate,
     read_json,
     read_table,
-    store_json,
     times_ok,
 )
 
@@ -173,9 +172,6 @@ class ReconstructionReport:
             "study_id": self.study_id,
             "arms": {label: rep.to_json() for label, rep in self.arms.items()},
         }
-
-    def store(self, path: str) -> None:
-        store_json(self.to_json(), path)
 
 
 def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:

@@ -12,6 +12,7 @@ from survbench.core import (
     StudyDataset,
     arm_from_arrays,
     km_estimate,
+    km_from_arrays,
 )
 from survbench.distributions import DomainError, ParametricFamily, _cdf, _check_support, _logpdf, _quantile
 from survbench.reconstruct import DigitizedArm
@@ -43,6 +44,19 @@ def survival_at(curve: KmCurve, time: float) -> float:
     or before `time`, and 1 before the first step."""
     i = int(np.searchsorted(curve.time, time, side="right"))
     return float(curve.survival[i - 1]) if i else 1.0
+
+
+def censoring_atoms(arm: ArmData) -> tuple[np.ndarray, np.ndarray]:
+    """Times and masses of the censoring distribution's Kaplan-Meier
+    estimate (roles of event and censoring swapped): the curve's drops."""
+    curve = km_from_arrays(arm.times(), 1 - arm.statuses())
+    return curve.time, -np.diff(np.concatenate(([1.0], curve.survival)))
+
+
+def undefined_counts(diffs) -> dict[tuple[str, str, str], int]:
+    """Per (study, engine, metric) of a run's diffs, the iterations whose
+    value is undefined, as `summary_*.csv` counts them."""
+    return {key: diffs.iterations - len(pairs) for key, pairs in diffs.values.items()}
 
 
 def _scalar_or_array(values: np.ndarray, scalar_in: bool):

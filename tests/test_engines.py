@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from survbench.core import ArmData, RandomStream, StudyDataset, km_estimate
-from survbench.distributions import fit_mle
+from survbench.distributions import FittedDistribution, fit_mle
 from survbench.engines import (
     ENGINE_KINDS,
     KDE_ENVELOPE_SAFETY,
@@ -23,8 +23,8 @@ from survbench.engines import (
     build_model,
     canonical_engine,
     case_resample,
-    censoring_km,
     conditional_bootstrap,
+    condboot_plan,
     kde_fit,
     kde_sample,
     model_summary,
@@ -75,12 +75,12 @@ class TestSplitSubsets:
     def test_partition_by_status(self):
         arm = arm_of([(5.0, 1), (2.0, 0), (7.0, 1), (3.0, 0), (9.0, 0)])
         model = build_model("kde", arm)
-        assert model.event_kde.support.tolist() == [5.0, 7.0]
-        assert model.censoring_kde.support.tolist() == [2.0, 3.0, 9.0]
+        assert model.event.support.tolist() == [5.0, 7.0]
+        assert model.censoring.support.tolist() == [2.0, 3.0, 9.0]
 
     def test_empty_sides(self):
         model = build_model("kde", arm_of([(1.0, 1), (2.0, 1)]))
-        assert model.censoring_kde is None and model.event_kde.support.size == 2
+        assert model.censoring is None and model.event.support.size == 2
         # an arm without events: test_kde_without_events_fails
 
 
@@ -214,7 +214,7 @@ class TestKdeSample:
             kde_sample(kde, -1, RandomStream(1, 0).generator)
 
     def test_sampler_stops_at_the_last_acceptance_it_needs(self, monkeypatch):
-        kde = build_model("kde", synth_study(50, n=150).arms[0]).event_kde
+        kde = build_model("kde", synth_study(50, n=150).arms[0]).event
         evaluated = []
         density = KdeDensity.density
 
@@ -245,39 +245,42 @@ class TestKdeSample:
 
 
 # ---------------------------------------------------------------------------
-# censoring distribution estimate
+# the conditional bootstrap's censoring distribution estimate
 
 
 class TestCensoringKm:
+    """condboot_plan's atoms and cumulative masses: the Kaplan-Meier
+    estimate of the censoring distribution."""
+
     def test_atoms_and_masses(self):
         arm = arm_of([(5.0, 1), (2.0, 0), (7.0, 1), (3.0, 0), (9.0, 0)])
-        ghat = censoring_km(arm)
-        assert ghat.atom_times.tolist() == [2.0, 3.0, 9.0]
-        assert ghat.atom_masses == pytest.approx([0.2, 0.2, 0.6], abs=1e-12)
+        plan = condboot_plan(arm)
+        assert plan.atoms.tolist() == [2.0, 3.0, 9.0]
+        assert plan.cum == pytest.approx([0.2, 0.4, 1.0], abs=1e-12)
         # the last observation is censored, so all mass is placed
-        assert float(np.sum(ghat.atom_masses)) == pytest.approx(1.0, abs=1e-12)
+        assert float(plan.cum[-1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_no_censoring_gives_empty_estimate(self):
-        ghat = censoring_km(arm_of([(1.0, 1), (2.0, 1)]))
-        assert ghat.atom_times.size == 0
-        assert ghat.atom_masses.size == 0
+        plan = condboot_plan(arm_of([(1.0, 1), (2.0, 1)]))
+        assert plan.atoms.size == 0
+        assert plan.cum.size == 0
 
     def test_mass_below_one_when_largest_time_is_event(self):
         arm = arm_of([(1.0, 0), (2.0, 1), (3.0, 1)])
-        ghat = censoring_km(arm)
-        assert ghat.atom_times.tolist() == [1.0]
-        assert float(np.sum(ghat.atom_masses)) < 1.0
+        plan = condboot_plan(arm)
+        assert plan.atoms.tolist() == [1.0]
+        assert float(plan.cum[-1]) < 1.0
 
     def test_all_censored_mass_sums_to_one(self):
-        ghat = censoring_km(arm_of([(1.0, 0), (2.0, 0), (4.0, 0)]))
-        assert float(np.sum(ghat.atom_masses)) == pytest.approx(1.0, abs=1e-12)
+        plan = condboot_plan(arm_of([(1.0, 0), (2.0, 0), (4.0, 0)]))
+        assert float(plan.cum[-1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_cdf_steps(self):
         arm = arm_of([(5.0, 1), (2.0, 0), (7.0, 1), (3.0, 0), (9.0, 0)])
-        ghat = censoring_km(arm)
+        plan = condboot_plan(arm)
 
         def cdf(t: float) -> float:
-            return float(np.sum(ghat.atom_masses[ghat.atom_times <= t]))
+            return float(np.concatenate(([0.0], plan.cum))[np.searchsorted(plan.atoms, t, side="right")])
 
         assert cdf(1.9) == pytest.approx(0.0)
         assert cdf(2.0) == pytest.approx(0.2)
@@ -289,8 +292,8 @@ class TestCensoringKm:
         arm = synth_arm("A", rng, 80, 1.2, 9.0, 2.0, 25.0)
         flipped = ArmData("A", arm.times(), 1 - arm.statuses())
         curve = km_estimate(flipped)
-        ghat = censoring_km(arm)
-        for t, m in zip(ghat.atom_times, np.cumsum(ghat.atom_masses)):
+        plan = condboot_plan(arm)
+        for t, m in zip(plan.atoms, plan.cum):
             assert 1.0 - survival_at(curve, float(t)) == pytest.approx(float(m), abs=1e-12)
 
 
@@ -304,8 +307,19 @@ class TestBuildModel:
         for kind in ENGINE_KINDS:
             model = build_model(kind, arm)
             assert model.engine == kind
-            assert model.label == arm.label
-            assert model.n_source == 60
+            assert model.source is arm
+            assert len(model.source) == 60
+
+    def test_each_engine_sets_only_its_own_parts(self):
+        censored, uncensored = synth_study(1, n=60).arms[0], arm_of([(float(i), 1) for i in range(1, 9)])
+        for arm, has_censored in ((censored, True), (uncensored, False)):
+            assert (0 in arm.statuses().tolist()) == has_censored
+            for kind in ENGINE_KINDS:
+                model = build_model(kind, arm)
+                part = {"parametric": FittedDistribution, "kde": KdeDensity}.get(kind, type(None))
+                assert type(model.event) is part
+                assert type(model.censoring) is (part if has_censored else type(None))
+                assert (model.condboot is not None) == (kind == "conditional-bootstrap")
 
     def test_alias_is_canonicalised(self):
         arm = synth_study(1, n=40).arms[0]
@@ -324,14 +338,14 @@ class TestBuildModel:
     def test_parametric_without_censoring_skips_censoring_fit(self):
         arm = arm_of([(float(i), 1) for i in range(1, 9)])
         model = build_model("parametric", arm)
-        assert model.event_fit is not None
-        assert model.censoring_fit is None
+        assert model.event is not None
+        assert model.censoring is None
 
     def test_parametric_fits_the_other_families_on_tiny_times(self):
         # gamma and inverse-gamma have no moment start at times near 1e-170
         arm = arm_of([(k * 1e-170, k % 2) for k in range(1, 13)])
         model = build_model("parametric", arm)
-        for fit in (model.event_fit, model.censoring_fit):
+        for fit in (model.event, model.censoring):
             assert fit.family.family_id not in ("gamma", "inverse-gamma")
 
     def test_kde_needs_two_events(self):
@@ -353,7 +367,7 @@ class TestBuildModel:
 
     def test_case_resampling_never_fails_to_build(self):
         model = build_model("case-resampling", arm_of([(1.0, 0)]))
-        assert model.n_source == 1
+        assert len(model.source) == 1
 
 
 class TestModelSummary:
@@ -372,7 +386,7 @@ class TestModelSummary:
         json.dumps(out)
         assert out["event_bandwidth"] > 0.0
         assert out["censoring_bandwidth"] > 0.0
-        for side, kde in (("event", model.event_kde), ("censoring", model.censoring_kde)):
+        for side, kde in (("event", model.event), ("censoring", model.censoring)):
             assert out[f"{side}_envelope"] == kde.envelope
             assert out[f"{side}_envelope"] >= float(np.max(kde.density(np.linspace(kde.lower, kde.upper, 1024))))
             assert out[f"{side}_domain"] == [kde.lower, kde.upper]
@@ -552,7 +566,7 @@ class TestParametricSimulation:
         rng = RandomStream(24, 0).generator
         arm = synth_arm("A", rng, 400, 1.5, 10.0, 1e9, 2e9)
         model = build_model("parametric", arm)
-        fitted = model.event_fit
+        fitted = model.event
         out = simulate(model, 100000, RandomStream(25, 0))
         refit = fit_mle(fitted.family.family_id, out.times())
         for got, want in zip(refit.family.parameters, fitted.family.parameters):
@@ -576,7 +590,7 @@ class TestKdeSimulation:
         rng = RandomStream(28, 0).generator
         arm = synth_arm("A", rng, 100, 1.3, 8.0, 1e9, 2e9)
         model = build_model("kde", arm)
-        assert model.censoring_kde is None
+        assert model.censoring is None
         out = simulate(model, 300, RandomStream(29, 0))
         assert int(np.sum(out.statuses())) == 300
 
@@ -584,7 +598,7 @@ class TestKdeSimulation:
         model = build_model("kde", synth_study(31, n=150).arms[1])
         out = simulate(model, 2000, RandomStream(32, 0))
         t = out.times()
-        upper = max(model.event_kde.upper, model.censoring_kde.upper)
+        upper = max(model.event.upper, model.censoring.upper)
         assert float(np.min(t)) >= 0.0
         assert float(np.max(t)) <= upper
 
@@ -606,7 +620,7 @@ class TestSimulateDispatch:
             simulate(model, 0, RandomStream(1, 0))
 
     def test_unknown_engine_kind_rejected(self):
-        model = ArmModel("jackknife", "A", 3)
+        model = ArmModel("jackknife", arm_of([(1.0, 1), (2.0, 0), (3.0, 1)]))
         with pytest.raises(ValueError, match="unknown engine"):
             simulate(model, 3, RandomStream(1, 0))
 

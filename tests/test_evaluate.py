@@ -16,6 +16,7 @@ from survbench.core import (
     StudyDataset,
     arm_from_arrays,
     km_estimate,
+    store_json,
 )
 from survbench.evaluate import (
     DegenerateTestError,
@@ -27,7 +28,6 @@ from survbench.evaluate import (
     rmst,
     rmst_tau,
     rmstd,
-    store_evaluation,
     tie_ratio,
 )
 
@@ -424,7 +424,7 @@ class TestEvaluateDataset:
         assert res.rmstd is None
         assert res.logrank_p is not None
         path = tmp_path / "eval.json"
-        store_evaluation(res, str(path))
+        store_json(res.to_json(), str(path))
         assert json.loads(path.read_text()) == dataclasses.asdict(res)
 
     def test_deterministic(self):
@@ -436,13 +436,13 @@ class TestEvaluateDataset:
         res = evaluate_dataset(ds)
         assert res.hazard_ratio is None  # separated arms do not converge
         path = tmp_path / "eval.json"
-        store_evaluation(res, str(path))
+        store_json(res.to_json(), str(path))
         assert json.loads(path.read_text()) == dataclasses.asdict(res)
 
     def test_json_round_trip_full(self, tmp_path):
         res = evaluate_dataset(synth_study(6))
         path = tmp_path / "eval.json"
-        store_evaluation(res, str(path))
+        store_json(res.to_json(), str(path))
         assert json.loads(path.read_text()) == dataclasses.asdict(res)
 
 

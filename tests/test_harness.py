@@ -34,7 +34,7 @@ from survbench.harness import (
 )
 from survbench.cli import main
 
-from helpers import arm_of, digitize_exact, synth_study
+from helpers import arm_of, digitize_exact, synth_study, undefined_counts
 
 
 def make_record(seed, study_id, n=60):
@@ -176,8 +176,8 @@ class TestRunBenchmark:
         for sid in ("s1", "s2"):
             for engine in config.engines:
                 for metric in ("logrank_p", "hazard_ratio", "rmstd", "median_arm1", "median_arm2"):
-                    key = (sid, engine, metric)
-                    assert len(res.diffs.values[key]) + res.diffs.undefined[key] == 6
+                    column = res.diffs.table[(sid, engine)][:, ALL_METRICS.index(metric)]
+                    assert len(res.diffs.values[(sid, engine, metric)]) + int(np.isnan(column).sum()) == 6
                 for metric in ("tie_ratio", "logrank_statistic"):
                     assert len(res.diffs.series(sid, engine, metric)) == 6
 
@@ -200,7 +200,7 @@ class TestRunBenchmark:
         _, first = self.run_small()
         _, second = self.run_small()
         assert first.diffs.values == second.diffs.values
-        assert first.diffs.undefined == second.diffs.undefined
+        assert undefined_counts(first.diffs) == undefined_counts(second.diffs)
 
     def test_worker_count_does_not_change_the_numbers(self):
         _, serial = self.run_small(workers=1)
@@ -236,7 +236,7 @@ class TestRunBenchmark:
         res = run_benchmark(config)
         for metric in ("hazard_ratio", "median_arm1", "median_arm2"):
             key = ("s3", "case-resampling", metric)
-            assert res.diffs.undefined[key] == 4
+            assert undefined_counts(res.diffs)[key] == 4
             assert res.diffs.values[key] == []
         assert len(res.diffs.series("s3", "case-resampling", "logrank_p")) == 4
 
@@ -248,7 +248,7 @@ class TestRunBenchmark:
         metadata = StudyMetadata("zero", 0.5, None, {"A": None, "B": None}, "non-crossing")
         record = StudyRecord(dataset, metadata, evaluate_dataset(dataset))
         res = run_benchmark(BenchmarkConfig([record], ["case"], iterations=20, base_seed=3))
-        assert res.diffs.undefined[("zero", "case-resampling", "rmstd")] == 20
+        assert undefined_counts(res.diffs)[("zero", "case-resampling", "rmstd")] == 20
 
     def test_peak_memory_stays_near_the_retained_result(self):
         # each replicate's row goes into its pair's table as it finishes, so no
@@ -296,16 +296,16 @@ class TestRunBenchmark:
         assert ("zero", "kde") not in diffs.table
         assert ("zero", "kde", "tie_ratio") not in diffs.values
         assert diffs.series("zero", "kde", "tie_ratio") == []
-        assert 0 < diffs.undefined[("reported", "case-resampling", "median_arm2")] < diffs.iterations
+        assert 0 < undefined_counts(diffs)[("reported", "case-resampling", "median_arm2")] < diffs.iterations
         for (sid, engine, metric), pairs in diffs.values.items():
             assert all(type(i) is int and type(v) is float for i, v in pairs)
             column = diffs.table[(sid, engine)][:, ALL_METRICS.index(metric)].tolist()
             assert dict(pairs) == {i: v for i, v in enumerate(column) if not math.isnan(v)}
             assert diffs.series(sid, engine, metric) == [v for _, v in pairs]
-            assert diffs.undefined[(sid, engine, metric)] == diffs.iterations - len(pairs)
-        assert all(type(count) is int for count in diffs.undefined.values())
+            assert sum(map(math.isnan, column)) == diffs.iterations - len(pairs)
+        assert type(diffs.iterations) is int  # the undefined counts summary_*.csv writes
         assert threaded.diffs.values == diffs.values
-        assert threaded.diffs.undefined == diffs.undefined
+        assert undefined_counts(threaded.diffs) == undefined_counts(diffs)
 
 
 # ---------------------------------------------------------------------------

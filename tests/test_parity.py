@@ -41,7 +41,6 @@ from survbench.distributions import FIT_TOLERANCE, MAX_FIT_ITERATIONS, FitFailur
 from survbench.engines import (
     build_model,
     case_resample,
-    censoring_km,
     conditional_bootstrap,
     kde_fit,
     kde_sample,
@@ -65,7 +64,17 @@ from survbench.evaluate import (
 from survbench.harness import BenchmarkConfig, StudyRecord, run_benchmark
 from survbench.reconstruct import DigitizedArm, InfeasibleCurveError, load_digitized_arm, reconstruct_arm
 
-from helpers import arm_of, broken_curve_rules, columns_of, digitized_arm_of, pairs_of, survival_at, synth_study
+from helpers import (
+    arm_of,
+    broken_curve_rules,
+    censoring_atoms,
+    columns_of,
+    digitized_arm_of,
+    pairs_of,
+    survival_at,
+    synth_study,
+    undefined_counts,
+)
 
 survbench_readers = {
     "load_dataset": core, "load_metadata": core, "load_config": harness,
@@ -571,9 +580,9 @@ def test_conditional_bootstrap_matches_the_loop(columns, seed):
     if not columns[1].any():
         return  # no events to resample: build_model refuses the arm
     arm = arm_from_arrays("A", *columns)
-    model, ghat = build_model("condboot", arm), censoring_km(arm)
+    model = build_model("condboot", arm)
     out = conditional_bootstrap(model, len(arm), RandomStream(seed, 2).generator)
-    expected = oracle.conditional_bootstrap(arm, ghat.atom_times, ghat.atom_masses, RandomStream(seed, 2).generator)
+    expected = oracle.conditional_bootstrap(arm, *censoring_atoms(arm), RandomStream(seed, 2).generator)
     assert list(zip(out.times().tolist(), out.statuses().tolist())) == expected
 
 
@@ -592,10 +601,10 @@ def test_consecutive_conditional_bootstraps_match_the_loop(pairs, seed):
     # draws from one model and one stream: a call that changed the
     # model's arrays would show in the calls after it
     arm = arm_of(pairs)
-    model, ghat = build_model("condboot", arm), censoring_km(arm)
+    model, atoms = build_model("condboot", arm), censoring_atoms(arm)
     stream, reference = RandomStream(seed, 2), RandomStream(seed, 2).generator
     for _ in range(3):
-        expected = oracle.conditional_bootstrap(arm, ghat.atom_times, ghat.atom_masses, reference)
+        expected = oracle.conditional_bootstrap(arm, *atoms, reference)
         assert pairs_of(simulate(model, len(arm), stream)) == expected
     for array in vars(model.condboot).values():
         with pytest.raises(ValueError, match="read-only"):
@@ -668,7 +677,6 @@ def test_derived_columns_are_not_checked_again(tmp_path, monkeypatch):
     monkeypatch.setattr(ArmData, "__init__", refuse)
     arm = load_dataset(str(tmp_path / "study.csv")).arms[0]
     km_estimate(arm)
-    censoring_km(arm)
     case_resample(build_model("case", arm), 20, RandomStream(0, 1).generator)
     conditional_bootstrap(build_model("condboot", arm), len(arm), RandomStream(0, 2).generator)
 
@@ -766,7 +774,7 @@ def test_folded_benchmark_matches_the_two_phase_loop():
     for workers in (1, 3):
         result = run_benchmark(replace(config, workers=workers))
         assert result.diffs.values == values
-        assert result.diffs.undefined == undefined
+        assert undefined_counts(result.diffs) == undefined
         counts = {key: len(v) for key, v in result.runtimes.seconds.items()}
         assert counts == {key: len(v) for key, v in seconds.items()}
 

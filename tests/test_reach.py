@@ -7,7 +7,10 @@ checks to keep in step. This scan reads ``src/survbench/*.py`` with
 another module, or in its own module beyond its definition, a benchmark
 script, or a Python example in README.md. A use inside a definition counts
 only once that definition is reached itself, and annotations and a
-function's own local names are not uses.
+function's own local names are not uses. A string names an attribute only
+as the key of ``getattr``, ``setattr`` or ``hasattr``, or as an argument
+of a benchmark's ``Hook(...)``; any other string, such as a CSV header
+that spells a property's name, is data and reaches nothing.
 
 The scan matches names, not objects: a name or attribute that runs
 reaches every definition spelt the same, so a public name that shares its
@@ -32,8 +35,8 @@ ALLOWED = {
 
 
 def _uses(node: ast.AST) -> set[str]:
-    """The names `node` reads: globals, attributes, imported names and
-    identifier strings (``getattr`` keys, the names a benchmark wraps)."""
+    """The names `node` reads: globals, attributes, imported names, and
+    the strings of attribute-access keys and ``Hook`` arguments."""
     for sub in ast.walk(node):  # annotations are not run
         if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
             sub.returns = None
@@ -53,9 +56,21 @@ def _uses(node: ast.AST) -> set[str]:
             out.add(sub.attr)
         elif isinstance(sub, ast.alias):
             out.add(sub.name.rpartition(".")[2])
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
-            out.add(sub.value)
+        elif isinstance(sub, ast.Call):
+            names = _name_arguments(sub)
+            out |= {arg.value for arg in names if isinstance(arg, ast.Constant) and isinstance(arg.value, str)}
     return out
+
+
+def _name_arguments(call: ast.Call) -> list[ast.expr]:
+    """The arguments of `call` that name an attribute: the key of
+    ``getattr``/``setattr``/``hasattr``, every argument of ``Hook``."""
+    callee = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+    if callee in ("getattr", "setattr", "hasattr"):
+        return call.args[1:2]
+    if callee == "Hook":
+        return [*call.args, *(keyword.value for keyword in call.keywords)]
+    return []
 
 
 def _definitions(module: str, tree: ast.Module):
