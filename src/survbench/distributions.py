@@ -118,10 +118,10 @@ def _cauchy_logpdf(x, location, scale):
 def _mixture_logpdf(x, wshape, wscale, nmean, nsd):
     x = np.asarray(x, dtype=float)
     norm_part = math.log(MIXTURE_NORMAL_WEIGHT) + _norm_logpdf(x, nmean, nsd)
-    pos = x > 0.0
-    if pos.all():  # the Weibull part is defined everywhere, so there is nothing to mask
+    if x.size and x.min() > 0.0:  # the Weibull part is defined everywhere: nothing to mask
         weib_part = math.log(MIXTURE_WEIBULL_WEIGHT) + _weibull_logpdf(x, wshape, wscale)
     else:
+        pos = x > 0.0
         weib_part = np.where(
             pos,
             math.log(MIXTURE_WEIBULL_WEIGHT) + _weibull_logpdf(np.where(pos, x, 1.0), wshape, wscale),
@@ -649,11 +649,18 @@ def _fit_nelder_mead(
         return tuple([math.exp(min(v, 700.0)) if pos else v for v, pos in zip(y, positive)])
 
     def objective(y: list[float]) -> float:
-        params = to_natural(y)
-        # the domain rule of ParametricFamily, without building one per evaluation
-        if not all(math.isfinite(v) and (v > 0.0 or not pos) for v, pos in zip(params, positive)):
-            return 1e300
-        total = float(logpdf(x, *params).sum())
+        # to_natural and the domain rule of ParametricFamily in one loop: exp of a value
+        # capped at 700 is never inf, so a positive parameter passes exactly when it is > 0
+        params = []
+        for v, pos in zip(y, positive):
+            if pos:
+                v = math.exp(700.0 if 700.0 < v else v)  # min(v, 700.0), nan included
+                if not v > 0.0:
+                    return 1e300
+            elif not math.isfinite(v):
+                return 1e300
+            params.append(v)
+        total = float(np.add.reduce(logpdf(x, *params)))
         return -total if math.isfinite(total) else 1e300
 
     y0 = [math.log(s) if pos else float(s) for s, pos in zip(start, positive)]

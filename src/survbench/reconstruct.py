@@ -226,29 +226,37 @@ def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
         passes = 0
         while True:
             passes += 1
-            # walk the clicks once, with `count` censors due at t_start + (k + 1) * gap; one is
-            # placed only while someone is at risk, so no pass takes more subjects than it has
+            # walk the clicks once, with `count` censors due at t_start + (k + 1) * gap, the next
+            # one's time held in `due`; one is placed only while someone is at risk, so no pass
+            # takes more subjects than it has
             gap = (t_end - t_start) / (count + 1)
             n, surv, k = n_start, surv_start, 0
-            for i in range(lo, hi):
-                t = click_times[i]
-                while k < count and n > 0 and t_start + (k + 1) * gap < t:
-                    n -= 1
-                    k += 1
-                if n <= 0 or surv <= 0.0:
-                    break
-                s = survs[i]
-                if s < surv:
-                    d = round(n * (1.0 - s / surv))
-                    if d > n:
-                        d = n
-                    if d > 0:
-                        surv *= 1.0 - d / n
-                        n -= d
-                        event_times.append(t)
-                        event_counts.append(d)
-            placed = k + min(count - k, n)  # with those due after the clicks walked, while any are at risk
-            n -= placed - k
+            if lo != hi:
+                due = t_start + (k + 1) * gap
+                for i in range(lo, hi):
+                    t = click_times[i]
+                    while due < t and k < count and n > 0:
+                        n -= 1
+                        k += 1
+                        due = t_start + (k + 1) * gap
+                    if n <= 0 or surv <= 0.0:
+                        break
+                    s = survs[i]
+                    if s < surv:
+                        d = round(n * (1.0 - s / surv))
+                        if d > n:
+                            d = n
+                        if d > 0:
+                            surv *= 1.0 - d / n
+                            n -= d
+                            event_times.append(t)
+                            event_counts.append(d)
+            # with those due after the clicks walked, while any are at risk
+            if count - k < n:
+                n -= count - k
+                placed = count
+            else:
+                placed, n = k + n, 0
             if not tail:
                 diff = n - target
             else:  # the events, as every censor and every event leaves the risk set once
@@ -268,7 +276,8 @@ def reconstruct_arm(arm: DigitizedArm) -> tuple[ArmData, ArmReport]:
             count = next_count
             del event_times[mark:], event_counts[mark:]  # the next pass appends the interval's events anew
         iterations_total += passes
-        censor_times += [t_start + (g + 1) * gap for g in range(placed)]
+        if placed:
+            censor_times += [t_start + (g + 1) * gap for g in range(placed)]
         lo = hi
     # everyone still at risk leaves the study at the end of follow-up
     censor_times.extend([t_end_time] * n)

@@ -14,6 +14,7 @@ import sys
 import tempfile
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import oracle
@@ -502,6 +503,69 @@ def test_the_tie_example_puts_two_first_vertices_at_the_penalty(monkeypatch):
     assert math.isfinite(values[0]) and values[1:3] == [1e300, 1e300]
 
 
+def _value_or_error(objective, y):
+    try:
+        return repr(objective(y))
+    except (ArithmeticError, ValueError) as exc:  # math.log(0.0) where a parameter ratio underflows
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _captured_objectives(family_id, x, start):
+    """The objective `_fit_nelder_mead` minimises and the one the oracle hands to scipy."""
+    captured = {}
+
+    def ours(objective, y0):
+        captured["ours"] = objective
+        return list(y0), True
+
+    def minimize(objective, y0, **options):
+        captured["oracle"] = objective
+        return SimpleNamespace(x=y0, success=True)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distributions, "_nelder_mead", ours)
+        patch.setattr(oracle, "optimize", SimpleNamespace(minimize=minimize))
+        distributions._fit_nelder_mead(family_id, x, start)
+        oracle.fit_nelder_mead(family_id, x, start)
+    return captured["ours"], captured["oracle"]
+
+
+# vertex components: non-finite, past the 700 cap, where exp underflows to
+# subnormal (-745) or to 0 (-746), and zero or negative (allowed only for a
+# parameter that need not be positive)
+_VERTEX_COMPONENTS = (
+    math.nan, math.inf, -math.inf, 699.5, 700.0, 700.5, 710.0, 1e308,
+    -744.0, -745.0, -745.2, -746.0, -1e308, 0.0, -0.0, -1.0, -37.5, 3.0,
+)
+
+
+# every Nelder-Mead family on each sample in its support, from the registry's
+# start (its likelihood unchecked, so a defect there cannot drop a case)
+_OBJECTIVE_SAMPLES = {
+    "positive": [0.5, 1.0, 2.5, 4.0, 7.5],
+    "signed": [-3.0, -0.5, 0.0, 1.5, 4.0, 4.0],
+    "zeros": [0.0, -0.0, 1.0, 1.5, 2.0, 2.0, 3.5],  # the least point 0: the mixture masks its Weibull part
+    "penalty-tie": _PENALTY_TIE,
+}
+_OBJECTIVE_CASES = [
+    pytest.param(family_id, np.asarray(sample), spec.start(np.asarray(sample)), id=f"{name}-{family_id}")
+    for name, sample in _OBJECTIVE_SAMPLES.items()
+    for family_id, spec in distributions._FAMILIES.items()
+    if spec.fit is None and (min(sample) > 0.0 or not spec.positive_support)
+]
+
+
+@pytest.mark.parametrize("family_id, x, start", _OBJECTIVE_CASES)
+def test_the_nelder_mead_objective_matches_the_oracles(family_id, x, start):
+    ours, scipys = _captured_objectives(family_id, x, start)
+    y0 = [math.log(s) if pos else s for s, pos in zip(start, distributions._FAMILIES[family_id].positive)]
+    vertices = [y0] + [[*y0[:k], v, *y0[k + 1:]] for k in range(len(y0)) for v in _VERTEX_COMPONENTS]
+    vertices += [[v] * len(y0) for v in _VERTEX_COMPONENTS]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for y in vertices:
+            assert _value_or_error(ours, list(y)) == _value_or_error(scipys, np.array(y)), y
+
+
 def _root_outcome(brentq, f, a, b, **kwargs):
     try:
         return repr(brentq(f, a, b, **kwargs))
@@ -837,9 +901,55 @@ _click_time = st.integers(0, 24).map(lambda k: k * 0.5) | st.floats(0.0, 13.0) |
 _click_survival = st.floats(-0.2, 1.2) | st.sampled_from((0.0, -0.0, 1.0))
 
 
+def _fine_inputs(pairs, other_times, total=False, rising_at=None, digits=None):
+    """A digitized arm of the benchmark corpus's fine shape, as its inputs tuple.
+
+    The clicks are the arm's own Kaplan-Meier steps (at its event times),
+    survival rounded to `digits` if given; the risk rows stand at every
+    event time of the arm and at `other_times` (the other arm's events),
+    so most rows hold no click and an interval without a censor places
+    none. `rising_at`, a fraction of the table, raises that row one above
+    the row before it; `total` publishes the arm's event count.
+    """
+    times, status = np.array([t for t, _ in pairs]), np.array([d for _, d in pairs])
+    curve = km_estimate(arm_from_arrays("A", times, status))
+    steps = zip(curve.time.tolist(), curve.survival.tolist())
+    clicks = [(0.0, 1.0)] + [(t, s if digits is None else round(s, digits)) for t, s in steps]
+    rows = []
+    for t in sorted({0.0, *times[status == 1].tolist(), *other_times}):
+        at_risk = int(np.count_nonzero(times >= t))
+        if at_risk < 1:
+            break
+        rows.append((t, at_risk))
+    if rising_at is not None and len(rows) > 2:
+        j = max(int(rising_at * (len(rows) - 1)), 1)
+        rows[j] = (rows[j][0], rows[j - 1][1] + 1)
+    return clicks, rows, int(status.sum()) if total else None, False
+
+
+_fine_time = st.integers(1, 160).map(lambda k: k * 0.25)
+
+
+@st.composite
+def fine_digitized_inputs(draw):
+    """`_fine_inputs` with tens of risk rows, at most one in three holding a click."""
+    pairs = draw(st.lists(st.tuples(_fine_time, st.sampled_from((0, 1, 1))), min_size=10, max_size=60))
+    other_times = draw(st.lists(_fine_time, min_size=20, max_size=80))
+    rising_at = draw(st.sampled_from((None,) * 7 + (0.75, 1.0)))
+    digits = draw(st.sampled_from((None, None, 2, 1)))
+    return _fine_inputs(pairs, other_times, draw(st.booleans()), rising_at, digits)
+
+
+# a fixed fine arm: 40 subjects, 8 of them censored, 72 risk rows of which 32 hold a click
+_FINE_PAIRS = [(0.25 * (3 * k + 1), 0 if k % 5 == 2 else 1) for k in range(40)]
+_FINE_OTHER = [0.25 * (3 * k + 2) for k in range(60)]
+
+
 @st.composite
 def digitized_inputs(draw):
     """(coordinates, risk table, total, drop the first risk row after checking)."""
+    if draw(st.sampled_from((False, False, True))):
+        return draw(fine_digitized_inputs())
     clicks = draw(st.lists(st.tuples(_click_time, _click_survival), min_size=1, max_size=40))
     if draw(st.booleans()):  # a falling curve; otherwise it may rise anywhere
         survival = sorted((s for _, s in clicks), reverse=True)
@@ -860,6 +970,10 @@ def digitized_inputs(draw):
 @given(digitized_inputs())
 @example(([(0.0, 1.0), (1.0, 0.6), (1.0, 0.5), (2.0, 0.5), (9.0, 0.2)], [(0.0, 10), (1.0, 10), (2.0, 5)], 6, False))
 @example(([(-0.0, -0.0), (0.5, 1.2)], [(0.0, 3), (0.5, 3)], None, True))
+@example(_fine_inputs(_FINE_PAIRS, _FINE_OTHER))  # tens of clickless rows, intervals without censors
+@example(_fine_inputs(_FINE_PAIRS, _FINE_OTHER, total=True))  # and a tail with a published total
+@example(_fine_inputs(_FINE_PAIRS, _FINE_OTHER, total=True, digits=1))  # misses on a survival axis rounded to 0.1
+@example(_fine_inputs(_FINE_PAIRS, _FINE_OTHER, rising_at=0.9))  # a rising row late in a long table
 def test_bisected_reconstruction_matches_the_scanning_loop(inputs):
     clicks, rows, total, drop_first = inputs
     arm, reference = digitized_arm_of("A", clicks, rows, total), oracle.DigitizedArm("A", clicks, rows, total)
