@@ -645,12 +645,10 @@ def _fit_nelder_mead(
     spec = _FAMILIES[family_id]
     positive, logpdf = spec.positive, spec.logpdf
 
-    def to_natural(y: list[float]) -> tuple[float, ...]:
-        return tuple([math.exp(min(v, 700.0)) if pos else v for v, pos in zip(y, positive)])
-
     def objective(y: list[float]) -> float:
-        # to_natural and the domain rule of ParametricFamily in one loop: exp of a value
-        # capped at 700 is never inf, so a positive parameter passes exactly when it is > 0
+        # the natural parameters (exp of a positive one's log, capped at 700) and the domain
+        # rule of ParametricFamily in one loop: the exp is never inf, so a positive parameter
+        # passes exactly when it is > 0
         params = []
         for v, pos in zip(y, positive):
             if pos:
@@ -666,7 +664,7 @@ def _fit_nelder_mead(
     y0 = [math.log(s) if pos else float(s) for s, pos in zip(start, positive)]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         y, converged = _nelder_mead(objective, y0)
-    return to_natural(y), converged
+    return tuple([math.exp(min(v, 700.0)) if pos else v for v, pos in zip(y, positive)]), converged
 
 
 def fit_mle(family_id: str, sample_values) -> FittedDistribution:
