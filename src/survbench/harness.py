@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import math
 import os
 import time
@@ -25,12 +27,14 @@ from .core import (
     read_json,
     store_json,
 )
-from .engines import ArmModel, ModelBuildError, build_model, canonical_engine, simulate
+from .engines import ENGINE_KINDS, ArmModel, ModelBuildError, build_model, canonical_engine, simulate
 from .evaluate import EvaluationResult, evaluate_dataset
 
 ALL_METRICS = (
     "logrank_p", "hazard_ratio", "median_arm1", "median_arm2", "rmstd", "tie_ratio", "logrank_statistic"
 )
+
+BLOCK = 64  # iterations a pair draws, in turn, from one stream
 
 
 @dataclass
@@ -154,14 +158,21 @@ def _iteration_values(result: EvaluationResult, record: StudyRecord) -> list[flo
     return [math.nan if sim is None or ref is None else sim - ref for sim, ref in simulated_and_reference]
 
 
+def _stream_id(study_id: str, engine: str, block: int) -> int:
+    text = json.dumps([study_id, ENGINE_KINDS.index(engine), block])  # ASCII, one text per key
+    return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
+
+
 def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
     """Run every (study, engine) pair for the configured iteration count.
 
-    Iteration i consumes only RandomStream(base_seed, i), so the metric
-    output is identical no matter how many workers split the iterations.
-    Iteration i's values become row i of each pair's table as they arrive.
-    Only the simulate calls are timed, and the first iteration's time is
-    dropped as warm-up.
+    A pair draws iterations BLOCK*b to BLOCK*b + BLOCK - 1, in order, from
+    RandomStream(base_seed, id) alone, where id is the first 8 bytes,
+    big-endian, of the blake2b digest of json.dumps([study id, the engine's
+    index in ENGINE_KINDS, b]). So a pair's rows depend only on the seed, its
+    study, its engine and the iteration: not on the other pairs or the worker
+    count, and a shorter run gives a longer one's first rows. Only the
+    simulate calls are timed, and the first iteration's time is dropped.
     """
     started = time.perf_counter()
     skipped: list[dict] = []
@@ -176,30 +187,29 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
                 continue
             models[(sid, engine)] = (record, pair)  # type: ignore[assignment]
 
-    def one_iteration(i: int) -> list[tuple[tuple[str, str], list[float], float]]:
-        """(pair, row of values, simulate seconds) for every modelled pair."""
-        stream = RandomStream(config.base_seed, i)
-        rows = []
-        for key, (record, pair) in models.items():
-            sizes = (len(record.dataset.arms[0]), len(record.dataset.arms[1]))
-            t0 = time.perf_counter_ns()
-            arm1 = simulate(pair[0], sizes[0], stream)
-            arm2 = simulate(pair[1], sizes[1], stream)
-            elapsed = (time.perf_counter_ns() - t0) / 1e9
-            result = evaluate_dataset(StudyDataset((arm1, arm2)))
-            rows.append((key, _iteration_values(result, record), elapsed))
-        return rows
-
     shape = (config.iterations, len(ALL_METRICS))
     diffs = MetricDiffs(config.iterations, {key: np.empty(shape) for key in models})
-    runtimes = RuntimeRecord({key: [] for key in models})
+    seconds = {key: [0.0] * config.iterations for key in models}
+
+    def run_block(task: tuple[tuple[str, str], int]) -> None:
+        """One pair's iterations of one block, each row and time written in place."""
+        key, start = task
+        record, (model1, model2) = models[key]
+        sizes = (len(record.dataset.arms[0]), len(record.dataset.arms[1]))
+        stream = RandomStream(config.base_seed, _stream_id(*key, start // BLOCK))
+        stream.generator  # built here, outside the timed calls
+        table, times = diffs.table[key], seconds[key]
+        for i in range(start, min(start + BLOCK, config.iterations)):
+            t0 = time.perf_counter_ns()
+            arm1 = simulate(model1, sizes[0], stream)
+            arm2 = simulate(model2, sizes[1], stream)
+            times[i] = (time.perf_counter_ns() - t0) / 1e9
+            table[i] = _iteration_values(evaluate_dataset(StudyDataset((arm1, arm2))), record)
+
+    tasks = [(key, start) for start in range(0, config.iterations, BLOCK) for key in models]
     with ThreadPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
-        results = (map if pool is None else pool.map)(one_iteration, range(config.iterations))
-        for i, rows in enumerate(results):
-            for key, values, elapsed in rows:
-                diffs.table[key][i] = values
-                if i > 0:
-                    runtimes.seconds[key].append(elapsed)
+        list((map if pool is None else pool.map)(run_block, tasks))
+    runtimes = RuntimeRecord({key: times[1:] for key, times in seconds.items()})
 
     result = BenchmarkResult(diffs, runtimes, skipped, time.perf_counter() - started)
     if config.output_dir is not None:

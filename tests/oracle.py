@@ -33,6 +33,8 @@ rather than as a drift in the last digit.
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import math
 import numbers
 import os
@@ -72,7 +74,7 @@ from survbench.distributions import (
     _weibull_logpdf,
     cvm_test,
 )
-from survbench.engines import ModelBuildError, build_model, simulate
+from survbench.engines import ENGINE_KINDS, ModelBuildError, build_model, simulate
 from survbench.evaluate import (
     COX_BETA_LIMIT,
     COX_MAX_ITERATIONS,
@@ -405,6 +407,10 @@ RAW_METRICS = ("tie_ratio", "logrank_statistic")
 def run_benchmark(config) -> tuple[dict, dict, dict]:
     """Two passes: run every iteration and keep its metrics, then pivot them.
 
+    Iteration by iteration, each pair draws from the stream of its block of
+    64 iterations, whose id is the first 8 bytes, big-endian, of the blake2b
+    digest of json.dumps([study id, engine's index in ENGINE_KINDS, block]).
+
     Returns the (study, engine, metric) -> [(iteration, value)] series, the
     undefined count per series and the (study, engine) -> simulate seconds
     lists, first iteration dropped.
@@ -419,9 +425,9 @@ def run_benchmark(config) -> tuple[dict, dict, dict]:
             except ModelBuildError:
                 pass
 
+    streams = {}
     per_iteration = []
     for i in range(config.iterations):
-        stream = RandomStream(config.base_seed, i)
         out = {}
         for record in config.studies:
             sid = record.metadata.study_id
@@ -431,6 +437,11 @@ def run_benchmark(config) -> tuple[dict, dict, dict]:
                 pair = models.get((sid, engine))
                 if pair is None:
                     continue
+                text = json.dumps([sid, ENGINE_KINDS.index(engine), i // 64]).encode()
+                if text not in streams:
+                    stream_id = int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "big")
+                    streams[text] = RandomStream(config.base_seed, stream_id)
+                stream = streams[text]
                 t0 = time.perf_counter_ns()
                 arm1 = simulate(pair[0], sizes[0], stream)
                 arm2 = simulate(pair[1], sizes[1], stream)

@@ -2,14 +2,18 @@
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survbench.core import (
     MAX_COUNT,
@@ -21,6 +25,8 @@ from survbench.core import (
     store_dataset,
     store_metadata,
 )
+from survbench import harness
+from survbench.engines import ENGINE_KINDS, build_model
 from survbench.evaluate import evaluate_dataset
 from survbench.harness import (
     ALL_METRICS,
@@ -37,9 +43,13 @@ from survbench.cli import main
 from helpers import arm_of, digitize_exact, synth_study, undefined_counts
 
 
-def make_record(seed, study_id, n=60):
+def make_record(seed, study_id, n=60, **shape):
     """Benchmark input whose reported figures equal the recomputed ones."""
-    dataset = synth_study(seed, n=n)
+    return record_of(synth_study(seed, n=n, **shape), study_id)
+
+
+def record_of(dataset, study_id):
+    """The dataset as a benchmark input that reports its own figures."""
     reference = evaluate_dataset(dataset)
     metadata = StudyMetadata(
         study_id=study_id,
@@ -55,6 +65,17 @@ def all_censored_study():
     a = arm_of([(float(i), 1) for i in range(1, 11)], "A")
     b = arm_of([(float(i), 0) for i in range(1, 11)], "B")
     return StudyDataset((a, b))
+
+
+def coin_median_record():
+    """A study whose arm B has four events, all before its four censorings.
+
+    Its curve ends at the share of censored rows, so a case resample of B
+    has a median only when it draws at least four events: some iterations
+    define median_arm2 and others do not, whatever the draws.
+    """
+    b = arm_of([(t, 1) for t in (1.0, 2.0, 3.0, 4.0)] + [(t, 0) for t in (5.0, 6.0, 7.0, 8.0)], "B")
+    return record_of(StudyDataset((synth_study(4, n=20).arms[0], b)), "coin")
 
 
 def three_study_config(workers=1, output_dir=None):
@@ -207,10 +228,9 @@ class TestRunBenchmark:
         _, threaded = self.run_small(workers=3)
         assert serial.diffs.values == threaded.diffs.values
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
     def test_a_pairs_series_does_not_depend_on_the_rest_of_the_config(self):
-        # every pair draws from iteration i's one stream in config order, so
-        # the engines and studies listed before a pair move its series
+        # each pair draws from streams keyed by its own study and engine, so
+        # the engines and studies listed before it leave its series alone
         s5, s6 = make_record(5, "s5", n=100), make_record(6, "s6")
         configs = (([s5], ["kde"]), ([s5], ["kde", "case"]), ([s5], ["case", "kde"]), ([s6, s5], ["kde"]))
         series = [
@@ -291,12 +311,15 @@ class TestRunBenchmark:
     def test_views_give_python_numbers_by_iteration(self):
         # benchmarks/workloads.py reads values[key] as (iteration, value) pairs;
         # a numpy scalar would also print as np.float64(...) in long_*.csv
-        serial, threaded = (run_benchmark(three_study_config(workers)) for workers in (1, 3))
+        configs = [three_study_config(workers) for workers in (1, 3)]
+        for config in configs:
+            config.studies.append(coin_median_record())
+        serial, threaded = map(run_benchmark, configs)
         diffs = serial.diffs
         assert ("zero", "kde") not in diffs.table
         assert ("zero", "kde", "tie_ratio") not in diffs.values
         assert diffs.series("zero", "kde", "tie_ratio") == []
-        assert 0 < undefined_counts(diffs)[("reported", "case-resampling", "median_arm2")] < diffs.iterations
+        assert 0 < undefined_counts(diffs)[("coin", "case-resampling", "median_arm2")] < diffs.iterations
         for (sid, engine, metric), pairs in diffs.values.items():
             assert all(type(i) is int and type(v) is float for i, v in pairs)
             column = diffs.table[(sid, engine)][:, ALL_METRICS.index(metric)].tolist()
@@ -309,15 +332,65 @@ class TestRunBenchmark:
 
 
 # ---------------------------------------------------------------------------
+# the stream contract: a pair's rows are a function of the seed, its study,
+# its engine and the iteration alone
+
+# about half of each arm censored, so every engine can model every study;
+# the ids need JSON escapes
+CONTRACT_STUDIES = [
+    make_record(seed, sid, n=20, censor_high=15.0) for seed, sid in ((31, "s1"), (32, 's"2'), (33, "ü"))
+]
+
+
+@pytest.fixture(scope="module")
+def contract():
+    """A stand-in for build_model that hands out each contract arm's models,
+    fitted once (the property is about the draws), and each pair's table from
+    a one-study, one-engine, serial run of 129 iterations."""
+    arms = [arm for record in CONTRACT_STUDIES for arm in record.dataset.arms]
+    models = {(engine, id(arm)): build_model(engine, arm) for arm in arms for engine in ENGINE_KINDS}
+
+    def fitted(engine, arm):
+        return models[(engine, id(arm))]
+
+    alone = {}
+    with mock.patch.object(harness, "build_model", fitted):
+        for record, engine in itertools.product(CONTRACT_STUDIES, ENGINE_KINDS):
+            key = (record.metadata.study_id, engine)
+            run = run_benchmark(BenchmarkConfig([record], [engine], iterations=129, base_seed=17))
+            alone[key] = run.diffs.table[key]
+    return fitted, alone
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    studies=st.permutations(CONTRACT_STUDIES).flatmap(lambda s: st.sampled_from((s[:2], s))),
+    engines=st.permutations(ENGINE_KINDS).flatmap(lambda e: st.integers(1, 4).map(lambda k: e[:k])),
+    workers=st.sampled_from((1, 2, 3)),
+    iterations=st.sampled_from((1, 63, 64, 65, 129)),  # up to two block edges
+)
+def test_a_pairs_rows_are_the_first_rows_of_its_own_serial_run(contract, studies, engines, workers, iterations):
+    fitted, alone = contract
+    config = BenchmarkConfig(list(studies), list(engines), iterations=iterations, base_seed=17, workers=workers)
+    with mock.patch.object(harness, "build_model", fitted):
+        result = run_benchmark(config)
+    assert list(result.diffs.table) == [(r.metadata.study_id, e) for r in studies for e in engines]
+    for key, table in result.diffs.table.items():
+        np.testing.assert_array_equal(table, alone[key][:iterations])
+        assert len(result.runtimes.seconds[key]) == iterations - 1
+
+
+# ---------------------------------------------------------------------------
 # report files
 
 
 # SHA-256 of the long_*/summary_* files, report.json without elapsed_seconds
 # and runtimes.csv's engine and count columns that three_study_config()
-# writes, as the arm-symmetric logrank sums and math.erfc write them (only
-# logrank_p and logrank_statistic moved from the digest before). A change
-# meant to alter the harness series re-derives it and says which series moved.
-PINNED_OUTPUT_DIGEST = "494ea590e0db7db277b3e2c4e9b31841373bde274bfcb081cd9c55069509c1df"
+# writes, with each pair drawing from its own (study, engine, block) streams
+# (every long_* and summary_* file moved from the digest before; report.json
+# and runtimes.csv did not). A change meant to alter the harness series
+# re-derives it and says which series moved.
+PINNED_OUTPUT_DIGEST = "1a7d7556d13ea133fb149bc3ca0ba2986f39f04660842dd26888c3f9e1aa9eb4"
 
 
 class TestEmitReports:

@@ -833,14 +833,17 @@ def test_folded_benchmark_matches_the_two_phase_loop():
         iterations=12,
         base_seed=8,
     )
-    values, undefined, seconds = oracle.run_benchmark(config)
-    assert any(count == config.iterations for count in undefined.values())
-    for workers in (1, 3):
-        result = run_benchmark(replace(config, workers=workers))
-        assert result.diffs.values == values
-        assert undefined_counts(result.diffs) == undefined
-        counts = {key: len(v) for key, v in result.runtimes.seconds.items()}
-        assert counts == {key: len(v) for key, v in seconds.items()}
+    # four pairs past two block edges, where each pair changes streams
+    edges = replace(config, studies=config.studies[::2], engines=["case", "condboot"], iterations=130)
+    for config in (config, edges):
+        values, undefined, seconds = oracle.run_benchmark(config)
+        assert any(count == config.iterations for count in undefined.values())
+        for workers in (1, 3):
+            result = run_benchmark(replace(config, workers=workers))
+            assert result.diffs.values == values
+            assert undefined_counts(result.diffs) == undefined
+            counts = {key: len(v) for key, v in result.runtimes.seconds.items()}
+            assert counts == {key: len(v) for key, v in seconds.items()}
 
 
 # arm_columns' times (heavy ties, 0.0 and -0.0, all-censored and all-event
