@@ -97,8 +97,11 @@ def _norm_logpdf(x, mean, sd):
 
 
 def _weibull_logpdf(x, shape, scale):
+    ratio = shape / scale
+    if ratio == 0.0:  # underflows at parameters inside the domain
+        return np.full(np.shape(x), -np.inf)
     z = x / scale
-    return math.log(shape / scale) + (shape - 1.0) * np.log(z) - z**shape
+    return math.log(ratio) + (shape - 1.0) * np.log(z) - z**shape
 
 
 def _weibull_quantile(q, shape, scale):
@@ -106,8 +109,11 @@ def _weibull_quantile(q, shape, scale):
 
 
 def _log_logistic_logpdf(x, shape, scale):
+    ratio = shape / scale
+    if ratio == 0.0:  # underflows at parameters inside the domain
+        return np.full(np.shape(x), -np.inf)
     z = np.log(x / scale) * shape
-    return math.log(shape / scale) + (shape - 1.0) * np.log(x / scale) - 2.0 * np.logaddexp(0.0, z)
+    return math.log(ratio) + (shape - 1.0) * np.log(x / scale) - 2.0 * np.logaddexp(0.0, z)
 
 
 def _cauchy_logpdf(x, location, scale):

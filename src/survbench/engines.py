@@ -9,7 +9,7 @@ conditional-bootstrap  resampled event times against preserved censoring
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,9 +44,9 @@ KDE_GRID_POINTS = 1024
 # glibc's default 128 KB mmap threshold, so it is not mapped afresh (and
 # page-faulted in) on every call
 KDE_BLOCK_TERMS = 16_000
-# consecutive grid points per cell of the envelope search
+# grid steps per tile of the domain, and grid points per cell of the envelope search
 KDE_CELL_POINTS = 32
-# relative margin on a cell's bound, far above the few-ulp error of np.exp
+# relative margin on a tile's bound, far above the few-ulp error of np.exp
 KDE_CELL_MARGIN = 1.0 + 1e-9
 KDE_ENVELOPE_SAFETY = 1.01
 STALL_PROPOSALS = 10_000_000
@@ -82,13 +82,42 @@ def canonical_engine(name: str) -> str:
 
 @dataclass
 class KdeDensity:
-    """Gaussian KDE with a sampling domain clamped to non-negative times."""
+    """Gaussian KDE with a sampling domain clamped to non-negative times.
+
+    `edges` and `bounds` are computed once, on construction. The fit's
+    grid is `np.linspace(lower, upper, KDE_GRID_POINTS)`, and tile c is
+    `[grid[32c], grid[32c + 32]]`, the last one `[grid[992], upper]`; the
+    tiles cover the domain. `edges` holds each tile's left end, and
+    `bounds` a bound on the density anywhere in the tile: the kernels
+    summed at the tile point nearest each centre, times `KDE_CELL_MARGIN`.
+    Each kernel is largest in a tile at that point, and rounded
+    subtraction, squaring, addition and division are monotone, so the
+    bound holds for the very row values `density` computes. Past `upper`
+    every kernel falls, so the last tile's bound holds there too. The
+    bounds are worked in place, so that they hold no more temporaries at
+    once than `density` does.
+    """
 
     support: np.ndarray
     bandwidth: float
     lower: float
     upper: float
     envelope: float
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
+    bounds: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.edges = np.linspace(self.lower, self.upper, KDE_GRID_POINTS)[::KDE_CELL_POINTS].copy()
+        ends = np.append(self.edges[1:], self.upper)
+        scale = self.support.size * self.bandwidth * math.sqrt(2.0 * math.pi)
+        self.bounds = np.empty(self.edges.size)
+        step = self.row_block
+        for start in range(0, self.edges.size, step):
+            rows = slice(start, start + step)
+            z = np.clip(self.support[None, :], self.edges[rows, None], ends[rows, None])
+            z -= self.support
+            z /= self.bandwidth
+            self.bounds[rows] = np.exp(-0.5 * z * z).sum(axis=1) / scale * KDE_CELL_MARGIN
 
     @property
     def row_block(self) -> int:
@@ -107,30 +136,27 @@ class KdeDensity:
             out[rows] = np.exp(-0.5 * z * z).sum(axis=1) / scale
         return out
 
-    def grid_peak(self, grid: np.ndarray) -> float:
-        """max(density(grid)), evaluating only the cells of the grid that can hold it.
+    def tile_bounds(self, x: np.ndarray) -> np.ndarray:
+        """The bound of the tile that holds each x in [lower, inf).
 
-        Each kernel is largest in a cell at the cell point nearest its
-        centre, so the kernels summed there bound the cell. Cells are
-        evaluated by falling bound until the running maximum reaches the
-        next bound. Rounded subtraction, squaring, addition and division
-        are monotone, so this is the very row value a full scan finds.
-        The bound is worked in place, so that it holds no more temporaries
-        at once than `density` does.
+        The tile is found by comparing x with the edges, without float
+        arithmetic; a point on an edge between two tiles, which both hold
+        it, goes to the right one, and a point past `upper` to the last.
         """
-        scale = self.support.size * self.bandwidth * math.sqrt(2.0 * math.pi)
-        cells = grid.reshape(-1, KDE_CELL_POINTS)
-        bounds = np.empty(cells.shape[0])
-        step = self.row_block
-        for start in range(0, bounds.size, step):
-            rows = slice(start, start + step)
-            z = np.clip(self.support[None, :], cells[rows, :1], cells[rows, -1:])
-            z -= self.support
-            z /= self.bandwidth
-            bounds[rows] = np.exp(-0.5 * z * z).sum(axis=1) / scale * KDE_CELL_MARGIN
+        return self.bounds[np.searchsorted(self.edges, x, side="right") - 1]
+
+    def grid_peak(self) -> float:
+        """max(density) over the fit's grid, evaluating only the cells that can hold it.
+
+        Cell c holds the 32 grid points from grid[32c] and lies in tile c,
+        so the tile's bound bounds the cell. Cells are evaluated by falling
+        bound until the running maximum reaches the next bound, so this is
+        the very row value a full scan finds.
+        """
+        cells = np.linspace(self.lower, self.upper, KDE_GRID_POINTS).reshape(-1, KDE_CELL_POINTS)
         peak = -math.inf
-        for cell in np.argsort(-bounds):
-            if bounds[cell] <= peak:
+        for cell in np.argsort(-self.bounds):
+            if self.bounds[cell] <= peak:
                 break
             peak = max(peak, float(np.max(self.density(cells[cell]))))
         return peak
@@ -166,8 +192,7 @@ def kde_fit(sample_values) -> KdeDensity:
     lower = max(0.0, float(np.min(x)) - 3.0 * h)
     upper = float(np.max(x)) + 3.0 * h
     kde = KdeDensity(x.copy(), h, lower, upper, envelope=1.0)
-    grid = np.linspace(lower, upper, KDE_GRID_POINTS)
-    kde.envelope = kde.grid_peak(grid) * KDE_ENVELOPE_SAFETY
+    kde.envelope = kde.grid_peak() * KDE_ENVELOPE_SAFETY
     return kde
 
 
@@ -178,7 +203,11 @@ def kde_sample(kde: KdeDensity, n: int, gen: np.random.Generator) -> np.ndarray:
     the same way however soon the sample fills. The density is evaluated in
     proposal order, about as many proposals at a time as the rest of the
     sample should need (at least one row block), and the proposals after
-    the last acceptance the sample needs are never evaluated.
+    the last acceptance the sample needs are never evaluated. Within a
+    slice, a proposal whose `u * envelope` is not below the bound of its
+    tile (`KdeDensity.tile_bounds`) cannot be accepted, so the kernels are
+    summed only for the others: every decision, and so every draw, is the
+    one the full kernel sum gives.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -196,7 +225,11 @@ def kde_sample(kde: KdeDensity, n: int, gen: np.random.Generator) -> np.ndarray:
         while start < block:
             # as many proposals as the rest of the sample should need, at least a row block
             stop = start + max(kde.row_block, math.ceil((n - filled) / accept_estimate))
-            keep = xs[start:stop][us[start:stop] * kde.envelope < kde.density(xs[start:stop])]
+            x = xs[start:stop]
+            u = us[start:stop] * kde.envelope
+            near = u < kde.tile_bounds(x)
+            x = x[near]
+            keep = x[u[near] < kde.density(x)]
             take = min(n - filled, keep.size)
             out[filled : filled + take] = keep[:take]
             filled += take

@@ -5,6 +5,7 @@ distribution (and inverse) functions of each family and frozen; the
 package must reproduce it independently.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -243,6 +244,41 @@ class TestMaximumLikelihood:
         for fam_id in ("weibull", "log-normal", "inverse-gamma", "gompertz"):
             with pytest.raises(SupportError):
                 fit_mle(fam_id, [-1.0, 2.0, 3.0, 4.0, 5.0])
+
+    @pytest.mark.parametrize("fam_id", ["weibull", "log-logistic", "weibull-normal-mixture"])
+    def test_an_underflowing_shape_to_scale_ratio_leaves_no_density(self, fam_id, monkeypatch):
+        # shape / scale underflows to 0 at a shape inside the domain, where
+        # math.log of the ratio used to raise ValueError
+        x = np.array([0.5, 1.0, 2.5])
+        shape, scale = math.exp(-745.0), 4.5
+        assert shape > 0.0 and shape / scale == 0.0
+        spec = distributions._FAMILIES[fam_id]
+        params = (shape, scale, 1.0, 2.0)[: len(spec.positive)]
+        logpdf = spec.logpdf(x, *params)
+        assert logpdf.shape == x.shape
+        if fam_id == "weibull-normal-mixture":
+            # only the normal part is left
+            expected = math.log(distributions.MIXTURE_NORMAL_WEIGHT) + distributions._norm_logpdf(x, 1.0, 2.0)
+            assert np.array_equal(logpdf, expected)
+            return
+        assert np.all(logpdf == -np.inf)
+        # a fit that starts there fails, and the candidate table records it
+        monkeypatch.setitem(distributions._FAMILIES, fam_id,
+                            dataclasses.replace(spec, start=lambda sample: (shape, scale)))
+        with pytest.raises(FitFailureError, match="not finite at the starting point"):
+            fit_mle(fam_id, x)
+        fits, failures = fit_candidates(x)
+        assert fam_id in failures and fam_id not in {f.family.family_id for f in fits}
+        # and the Nelder-Mead objective returns its penalty at that vertex
+        objectives = []
+
+        def capture(objective, y0):
+            objectives.append(objective)
+            return y0, True
+
+        monkeypatch.setattr(distributions, "_nelder_mead", capture)
+        distributions._fit_nelder_mead(fam_id, x, spec.start(x))
+        assert objectives[0]([-745.0, math.log(scale)]) == 1e300
 
 
 class TestCramerVonMises:

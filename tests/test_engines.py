@@ -12,6 +12,8 @@ from survbench.core import ArmData, RandomStream, StudyDataset, km_estimate
 from survbench.distributions import FittedDistribution, fit_mle
 from survbench.engines import (
     ENGINE_KINDS,
+    KDE_CELL_MARGIN,
+    KDE_CELL_POINTS,
     KDE_ENVELOPE_SAFETY,
     KDE_GRID_POINTS,
     ArmModel,
@@ -222,20 +224,35 @@ class TestKdeSample:
             evaluated.append(np.atleast_1d(x).size)
             return density(self, x)
 
-        class CountingGenerator:
+        class RecordingGenerator:
             def __init__(self, gen):
                 self.gen = gen
-                self.drawn = 0
+                self.draws = []
 
             def random(self, size):
-                self.drawn += size
-                return self.gen.random(size)
+                self.draws.append(self.gen.random(size))
+                return self.draws[-1]
 
         monkeypatch.setattr(KdeDensity, "density", counting_density)
-        gen = CountingGenerator(RandomStream(3, 0).generator)
+        gen = RecordingGenerator(RandomStream(3, 0).generator)
         assert kde_sample(kde, 150, gen).size == 150
-        proposed = gen.drawn // 2  # a position and a uniform per proposal
-        assert 0 < sum(evaluated) < proposed
+        # each block draws its positions, then its uniforms
+        xs = kde.lower + (kde.upper - kde.lower) * np.concatenate(gen.draws[0::2])
+        us = np.concatenate(gen.draws[1::2])
+        # the tiles [grid[32c], grid[32c + 32]], the last one ending at upper,
+        # each bounded by the kernels at the tile point nearest each centre
+        grid = np.linspace(kde.lower, kde.upper, KDE_GRID_POINTS)
+        lows = grid[::KDE_CELL_POINTS]
+        highs = np.append(lows[1:], kde.upper)
+        scale = kde.support.size * kde.bandwidth * math.sqrt(2.0 * math.pi)
+        bounds = np.array([
+            np.sum(np.exp(-0.5 * ((np.clip(kde.support, lo, hi) - kde.support) / kde.bandwidth) ** 2))
+            / scale * KDE_CELL_MARGIN
+            for lo, hi in zip(lows, highs)
+        ])
+        tile = np.sum(xs[:, None] >= lows[None, :], axis=1) - 1
+        below = int(np.sum(us * kde.envelope < bounds[tile]))
+        assert 0 < sum(evaluated) <= below < xs.size
 
     def test_stall_guard_trips_on_hopeless_envelope(self):
         kde = kde_fit([1.0, 2.0])

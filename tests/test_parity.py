@@ -808,6 +808,40 @@ def test_kde_sample_matches_the_whole_block(kde_and_n, seed):
     assert new_stream.random() == old_stream.random()
 
 
+@settings(deadline=None, max_examples=60)
+@given(kde_supports().map(kde_fit), st.integers(0, 3), st.integers(0, 2**32))
+# 3 draws take 10 blocks of 1,024 to 3,000 proposals on seed 0
+@example(kde_fit([0.0, 0.0, 1.0, 2.0, 7.5]), 3, 0)
+def test_kde_sample_matches_the_whole_block_under_a_loose_envelope(kde, n, seed):
+    # an envelope 1e3 times too high: the tile bounds reject almost every
+    # proposal before any kernel is summed, and each draw takes about
+    # 1e3 / rate proposals, so the sample crosses block edges
+    rate = 1.0 / (kde.envelope * (kde.upper - kde.lower))
+    assume(rate > 0.1)
+    kde = replace(kde, envelope=kde.envelope * 1e3)
+    new_stream = RandomStream(seed, 4).generator
+    old_stream = RandomStream(seed, 4).generator
+    assert np.array_equal(kde_sample(kde, n, new_stream), oracle.kde_sample(kde, n, old_stream))
+    assert new_stream.random() == old_stream.random()
+
+
+@settings(deadline=None, max_examples=60)
+@given(kde_supports(), st.integers(0, 2**32))
+def test_a_tiles_bound_holds_anywhere_in_the_tile(support, seed):
+    kde = kde_fit(support)
+    ends = np.append(kde.edges[1:], kde.upper)
+    assert kde.edges[0] == kde.lower and np.all(kde.edges[:-1] <= ends[:-1])
+    rng = np.random.default_rng(seed)
+    for lo, hi, bound in zip(kde.edges, ends, kde.bounds):
+        x = np.concatenate([[lo, hi], rng.uniform(lo, hi, 64)])
+        assert np.all(kde.density(x) <= bound)
+        assert np.all(kde.density(x) <= kde.tile_bounds(x))
+    # proposals can round past upper; they go to the last tile, whose bound holds there too
+    past = np.array([kde.upper, np.nextafter(kde.upper, np.inf)])
+    assert np.all(kde.tile_bounds(past) == kde.bounds[-1])
+    assert np.all(kde.density(past) <= kde.bounds[-1])
+
+
 def _record(study_id, dataset, reported=True):
     reference = evaluate_dataset(dataset)
     medians = dict(reference.medians) if reported else {label: None for label in dataset.labels}
